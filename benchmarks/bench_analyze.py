@@ -30,6 +30,7 @@ from repro.arch.workloads import workloads_for
 from repro.asm import Assembler
 from repro.cache import ArtifactCache
 from repro.codegen import Cond, KernelBuilder, Opcode
+from repro.explore.metrics import Measurement
 from repro.explore.parallel import EvalRequest, ParallelEvaluator
 from repro.explore.transforms import narrow_register_file, resize_memory
 
@@ -174,7 +175,7 @@ def test_gate_overhead_on_serial_sweep():
 
     def sweep(static_check):
         evaluator = ParallelEvaluator(
-            kernels, cache=ArtifactCache(), mode="serial",
+            Measurement(kernels), cache=ArtifactCache(), mode="serial",
             static_check=static_check,
         )
         results = evaluator.evaluate_many(requests)

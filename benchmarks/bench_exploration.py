@@ -23,6 +23,7 @@ from repro.codegen import Cond, KernelBuilder, Opcode
 from repro.explore import (
     CostWeights,
     Explorer,
+    Measurement,
     ParallelEvaluator,
     evaluate,
     transforms,
@@ -134,7 +135,7 @@ def test_parallel_engine_speedup(benchmark):
     serial = Explorer(
         kernels, weights,
         evaluator=ParallelEvaluator(
-            kernels, weights=weights, cache=None, mode="serial"
+            Measurement(kernels, weights=weights), cache=None, mode="serial"
         ),
     )
     serial_log, serial_s = sweep(serial)

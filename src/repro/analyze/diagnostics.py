@@ -91,14 +91,6 @@ class Diagnostic:
             f" {self.message}"
         )
 
-    def legacy_text(self) -> str:
-        """The pre-diagnostic string shape (``location: message``) that
-        :func:`repro.isdl.semantics.check` returned before this core
-        existed; kept for the ``collect=True`` back-compat shim."""
-        if self.location is not None:
-            return f"{self.location}: {self.message}"
-        return self.message
-
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
             "code": self.code,

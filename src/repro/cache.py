@@ -15,7 +15,9 @@ Two layers:
   every tool that accepts a ``cache=`` handle;
 * an optional on-disk pickle layer (``disk_path=``) for artifacts that
   survive pickling (assembled programs, whole evaluations), which makes
-  warm-cache state persistent across processes and runs.
+  warm-cache state persistent across processes and runs.  Entry names
+  fold in :data:`DISK_FORMAT_VERSION`, so entries another format version
+  wrote are plain misses.
 
 The cache is thread-safe; builders run outside the lock, so two threads
 racing on the same key may both build (last store wins) but never corrupt
@@ -58,6 +60,12 @@ from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 from . import obs
 
 __all__ = ["ArtifactCache", "CacheStats", "kernel_fingerprint"]
+
+#: Version of the pickled artifact formats, folded into every disk-entry
+#: name.  Bump it whenever a pickled class or a cache key changes shape:
+#: entries written under another version then miss instead of loading
+#: objects the current code cannot read.  (Unversioned entries were 1.)
+DISK_FORMAT_VERSION = 2
 
 
 def kernel_fingerprint(kernel) -> str:
@@ -233,7 +241,9 @@ class ArtifactCache:
     _tmp_seq = itertools.count()
 
     def _disk_file(self, kind: str, key: Hashable) -> str:
-        digest = hashlib.sha256(repr((kind, key)).encode()).hexdigest()
+        digest = hashlib.sha256(
+            repr((DISK_FORMAT_VERSION, kind, key)).encode()
+        ).hexdigest()
         return os.path.join(self.disk_path, f"{kind}-{digest[:32]}.pkl")
 
     def _disk_load(self, kind: str, key: Hashable) -> Tuple[Any, bool]:

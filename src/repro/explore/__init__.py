@@ -9,7 +9,7 @@ evaluator; the resulting :class:`ExplorationLog` renders through
 """
 
 from .explorer import Candidate, ExplorationLog, Explorer, Trajectory
-from .metrics import CostWeights, Evaluation, evaluate, evaluation_key
+from .metrics import CostWeights, Evaluation, Measurement, evaluate, measure
 from .parallel import EvalRequest, EvalResult, ParallelEvaluator
 from .report import (
     evaluation_table,
@@ -27,8 +27,9 @@ __all__ = [
     "Trajectory",
     "CostWeights",
     "Evaluation",
+    "Measurement",
     "evaluate",
-    "evaluation_key",
+    "measure",
     "EvalRequest",
     "EvalResult",
     "ParallelEvaluator",

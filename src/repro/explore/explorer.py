@@ -28,7 +28,6 @@ at all.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -40,7 +39,7 @@ from ..isdl import ast
 from ..obs.metrics import MetricsSnapshot
 from ..tech.model import TechSpec
 from . import transforms
-from .metrics import CostWeights, Evaluation
+from .metrics import CostWeights, Evaluation, Measurement
 from .parallel import EvalRequest, EvalResult, ParallelEvaluator
 
 
@@ -246,8 +245,7 @@ class Explorer:
         self.utilization_threshold = utilization_threshold
         if evaluator is None:
             evaluator = ParallelEvaluator(
-                self.kernels,
-                weights=self.weights,
+                Measurement(self.kernels, weights=self.weights),
                 cache=cache if cache is not None else ArtifactCache(),
                 mode=parallel,
                 max_workers=max_workers,
@@ -261,33 +259,19 @@ class Explorer:
 
     # ------------------------------------------------------------------
 
-    def evaluate(self, desc: ast.Description, *args,
+    def evaluate(self, desc: ast.Description, *,
                  derived_by: str = "initial",
                  parent: Optional[ast.Description] = None,
                  tech: Optional[TechSpec] = None) -> Candidate:
         """Measure one candidate description.
 
-        *derived_by* is keyword-only; the old positional form still
-        works for one release but warns with the new spelling.  *parent*
+        All options are keyword-only.  *parent*
         names the description this one was mutated from — a pure
         optimization hint that lets a cache miss reuse the parent's
         artifacts (see :func:`repro.explore.metrics.evaluate`).  *tech*
         measures the candidate in a scaled technology (see
         :class:`repro.tech.TechSpec`) instead of the pinned baseline.
         """
-        if args:
-            warnings.warn(
-                "Explorer.evaluate(desc, derived_by) with positional"
-                " derived_by is deprecated; call"
-                " evaluate(desc, derived_by=...)",
-                DeprecationWarning, stacklevel=2,
-            )
-            if len(args) > 1:
-                raise TypeError(
-                    f"evaluate() takes one description and keyword"
-                    f" options; got {1 + len(args)} positional arguments"
-                )
-            derived_by = args[0]
         evaluation = self.evaluator.evaluate(desc, parent=parent, tech=tech)
         return Candidate(desc, evaluation, derived_by)
 
@@ -329,7 +313,7 @@ class Explorer:
             ))
         return candidates
 
-    def explore(self, initial: Optional[ast.Description] = None, *args,
+    def explore(self, initial: ast.Description, *,
                 max_iterations: int = 8,
                 strategy="greedy",
                 seed: int = 0,
@@ -343,25 +327,8 @@ class Explorer:
         *seed* feeds strategies that randomize (multi-start's transform
         sampler); *max_evaluations*, when set, is a hard cap on batch
         measurements — the final round's batch is truncated to the
-        remaining budget and the run stops once it is spent.  The
-        old positional ``explore(desc, n)`` form still works for one
-        release but warns with the new spelling.
+        remaining budget and the run stops once it is spent.
         """
-        if args:
-            warnings.warn(
-                "Explorer.explore(desc, max_iterations) with positional"
-                " max_iterations is deprecated; call"
-                " explore(desc, max_iterations=..., strategy=...)",
-                DeprecationWarning, stacklevel=2,
-            )
-            if len(args) > 1:
-                raise TypeError(
-                    f"explore() takes one description and keyword"
-                    f" options; got {1 + len(args)} positional arguments"
-                )
-            max_iterations = args[0]
-        if initial is None:
-            raise TypeError("explore() needs an initial description")
         from . import strategies as strategy_registry
 
         search = strategy_registry.get(strategy)

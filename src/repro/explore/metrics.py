@@ -18,8 +18,9 @@ tool-chain run.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields as dc_fields, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import astuple, dataclass, field, fields as dc_fields, replace
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
 from .. import obs
 from ..cache import ArtifactCache, kernel_fingerprint
@@ -73,8 +74,7 @@ class Evaluation:
     per_kernel_cycles: Dict[str, int] = field(default_factory=dict)
     weights: Optional[CostWeights] = None
     fingerprint: str = ""
-    # Technology axis (None/False on baseline evaluations; readers must
-    # getattr() these — pre-tech pickled instances lack the attributes).
+    # Technology axis (None/False on baseline evaluations)
     tech_node: Optional[int] = None
     tech_flavor: Optional[str] = None
     vdd: Optional[float] = None
@@ -92,11 +92,10 @@ class Evaluation:
     @property
     def tech_spec(self) -> Optional[TechSpec]:
         """The technology this candidate was evaluated in, if any."""
-        node = getattr(self, "tech_node", None)
-        if node is None:
+        if self.tech_node is None:
             return None
-        return TechSpec(node, getattr(self, "tech_flavor", None) or "HP",
-                        getattr(self, "budget_mw", None))
+        return TechSpec(self.tech_node, self.tech_flavor or "HP",
+                        self.budget_mw)
 
     def cost(self, weights: Optional[CostWeights] = None) -> float:
         weights = weights or self.weights or CostWeights()
@@ -115,7 +114,7 @@ class Evaluation:
         suffix = ""
         if spec is not None:
             suffix = f" [{spec.suffix()[1:]}"
-            if getattr(self, "power_capped", False):
+            if self.power_capped:
                 suffix += ", capped"
             suffix += "]"
         return (
@@ -125,21 +124,55 @@ class Evaluation:
         )
 
 
-def evaluation_key(desc: ast.Description, kernels: Sequence[Kernel],
-                   max_steps: int, fp: Optional[str] = None,
-                   sim_backend: str = "xsim",
-                   tech: Optional[TechSpec] = None):
-    """The cache key identifying one candidate measurement.
+@dataclass(frozen=True, eq=False)
+class Measurement:
+    """How a candidate is measured: everything but the candidate itself.
 
-    The technology axis is appended **only when set**, so keys written
-    by tech-free runs keep their exact historical shape.
+    The five axes of one Figure-1 measurement — workload kernels, step
+    budget, simulator backend, cost weights, technology point — as one
+    picklable value that the evaluator, its pool workers and the serve
+    jobs carry instead of threading the axes by hand.  Equality and
+    hashing go through the kernels' fingerprints, not the ``Kernel``
+    objects, so two measurements built from equal kernels are one
+    measurement (one serve batch, one pooled evaluator).
     """
-    fp = fp or fingerprint(desc)
-    key = (fp, tuple(kernel_fingerprint(k) for k in kernels), max_steps,
-           sim_backend)
-    if tech is not None:
-        key = key + (tech.cache_key,)
-    return key
+
+    kernels: Tuple[Kernel, ...]
+    max_steps: int = 500_000
+    backend: str = "xsim"
+    weights: Optional[CostWeights] = None
+    tech: Optional[TechSpec] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kernels", tuple(self.kernels))
+
+    @cached_property
+    def kernel_fingerprints(self) -> Tuple[str, ...]:
+        return tuple(kernel_fingerprint(k) for k in self.kernels)
+
+    def key(self, fp: str) -> Tuple:
+        """The evaluation-cache key of candidate *fp* under this measurement.
+
+        Weights stay out: cost is computed on read, so one cached
+        evaluation serves every weight vector.  Backends are
+        cycle-identical but still separate entries, so a cached
+        evaluation carries the statistics its backend produced.
+        """
+        return (fp, self.kernel_fingerprints, self.max_steps, self.backend,
+                None if self.tech is None else self.tech.cache_key)
+
+    def _identity(self) -> Tuple:
+        # the cache key with the candidate left blank, plus the weights
+        weights = None if self.weights is None else astuple(self.weights)
+        return self.key(""), weights
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Measurement):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
 
 def evaluate(
@@ -157,65 +190,78 @@ def evaluate(
 ) -> Evaluation:
     """Run the full Figure-1 measurement pipeline on one candidate.
 
+    The axes (*kernels*, *max_steps*, *weights*, *sim_backend*, *tech*)
+    form one :class:`Measurement`; see :func:`measure` for the rest.
+
     *tech* (keyword-only, a :class:`repro.tech.TechSpec`) measures the
     candidate in a scaled technology, optionally power-capped to the
     spec's ``budget_mw``.  Cycle *counts* are technology independent and
     stay shared; synthesis is projected (not re-run) and the power model
     re-estimated, with the spec folded into the evaluation cache key.
-    ``tech=None`` is bit-identical to earlier releases.
 
     *weights* (keyword-only) is attached to the result so
-    :meth:`Evaluation.cost` can be called without repeating them; *cache*
-    (keyword-only) memoizes generated artifacts and whole evaluations by
-    structural fingerprint instead of rebuilding them internally.
+    :meth:`Evaluation.cost` can be called without repeating them.
     *sim_backend* selects the executor (see
     :func:`repro.gensim.simulator_for`): ``"xsim"`` keeps the full
     utilization statistics that the improvement heuristics read;
     ``"block"`` trades them for raw cycle-count speed — right for sweeps
-    scored on runtime/area/power alone.  Backends are cycle-identical, but
-    the key still separates them so cached evaluations carry the stats
-    their backend actually produced.
+    scored on runtime/area/power alone.
+    """
+    return measure(
+        desc, Measurement(kernels, max_steps, sim_backend, weights, tech),
+        name, cache=cache, memoize=memoize, parent=parent,
+    )
 
-    *memoize* (keyword-only) controls only the whole-evaluation memo:
-    with ``memoize=False`` the pipeline still shares artifact-level
-    caches (signature tables, cores, programs, synthesis) but always
-    re-runs the measurement itself — what the evaluation service's
-    no-dedup baseline and simulator-noise studies need.
 
-    *parent* (keyword-only) names the description this candidate was
-    mutated from.  It changes nothing about *what* is computed — cache
-    keys and results are identical with or without it — but on a cache
-    miss the pipeline builds artifacts *incrementally* off the parent's
-    cached ones: signature rows, compiled simulator routines and blocks,
-    hardware sub-structures, assembled programs, and whole simulation
-    results are carried over wherever the fingerprint delta proves the
-    relevant description units byte-identical.  Set the
+def measure(
+    desc: ast.Description,
+    measurement: Measurement,
+    name: Optional[str] = None,
+    *,
+    cache: Optional[ArtifactCache] = None,
+    memoize: bool = True,
+    parent: Optional[ast.Description] = None,
+) -> Evaluation:
+    """Measure candidate *desc* as *measurement* says.
+
+    *cache* memoizes generated artifacts and whole evaluations (keyed by
+    :meth:`Measurement.key`) by structural fingerprint instead of
+    rebuilding them internally.
+
+    *memoize* controls only the whole-evaluation memo: with
+    ``memoize=False`` the pipeline still shares artifact-level caches
+    (signature tables, cores, programs, synthesis) but always re-runs
+    the measurement itself — what the evaluation service's no-dedup
+    baseline and simulator-noise studies need.
+
+    *parent* names the description this candidate was mutated from.  It
+    changes nothing about *what* is computed — cache keys and results
+    are identical with or without it — but on a cache miss the pipeline
+    builds artifacts *incrementally* off the parent's cached ones:
+    signature rows, compiled simulator routines and blocks, hardware
+    sub-structures, assembled programs, and whole simulation results are
+    carried over wherever the fingerprint delta proves the relevant
+    description units byte-identical.  Set the
     ``REPRO_INCREMENTAL_CHECK`` environment variable to re-run every
     parent-assisted evaluation cold and assert the results equal.
     """
     label = name or desc.name
     if cache is None:
         with obs.span("explore.evaluate", candidate=label):
-            return _evaluate_uncached(desc, kernels, max_steps, label,
-                                      weights, sim_backend=sim_backend,
-                                      tech=tech)
+            return _evaluate_uncached(desc, measurement, label)
     with obs.span("explore.evaluate", candidate=label):
         fp = fingerprint(desc)
         if not memoize:
-            return _evaluate_uncached(desc, kernels, max_steps, label,
-                                      weights, cache=cache, fp=fp,
-                                      sim_backend=sim_backend, parent=parent,
-                                      tech=tech)
-        key = evaluation_key(desc, kernels, max_steps, fp, sim_backend, tech)
+            return _evaluate_uncached(desc, measurement, label, cache, fp,
+                                      parent)
         evaluation = cache.evaluation(
-            key,
-            lambda: _evaluate_uncached(desc, kernels, max_steps, label,
-                                       weights, cache=cache, fp=fp,
-                                       sim_backend=sim_backend,
-                                       parent=parent, tech=tech),
+            measurement.key(fp),
+            lambda: _evaluate_uncached(desc, measurement, label, cache, fp,
+                                       parent),
         )
     # A hit may carry another run's label/weights; normalize without
     # touching the cached instance.
+    weights = measurement.weights
     if evaluation.name != label or evaluation.weights != weights:
         evaluation = replace(evaluation, name=label, weights=weights)
     return evaluation
@@ -237,17 +283,16 @@ def _copy_stats(stats: SimulationStats) -> SimulationStats:
 
 def _evaluate_uncached(
     desc: ast.Description,
-    kernels: Sequence[Kernel],
-    max_steps: int,
+    measurement: Measurement,
     label: str,
-    weights: Optional[CostWeights],
     cache: Optional[ArtifactCache] = None,
     fp: Optional[str] = None,
-    sim_backend: str = "xsim",
     parent: Optional[ast.Description] = None,
-    tech: Optional[TechSpec] = None,
     _checked: bool = False,
 ) -> Evaluation:
+    kernels, max_steps = measurement.kernels, measurement.max_steps
+    weights, tech = measurement.weights, measurement.tech
+    sim_backend = measurement.backend
     fp = fp or (fingerprint(desc) if cache is not None else "")
     # Resolve the technology up front so an unknown node fails loudly
     # before any tool-chain work; tech_fields stays empty on the
@@ -260,8 +305,8 @@ def _evaluate_uncached(
     }
     if (parent is not None and not _checked
             and os.environ.get(INCREMENTAL_CHECK_ENV)):
-        return _checked_incremental(desc, kernels, max_steps, label, weights,
-                                    cache, fp, sim_backend, parent, tech)
+        return _checked_incremental(desc, measurement, label, cache, fp,
+                                    parent)
     # 1. Retarget the compiler; an unfit ISA is a legitimate negative result.
     try:
         compiler = Compiler(desc)
@@ -382,7 +427,7 @@ def _evaluate_uncached(
             budget_mw=tech.budget_mw if tech is not None else None,
         )
     cycle_ns = model.cycle_ns
-    if getattr(power, "capped", False) and power.frequency_mhz > 0:
+    if power.capped and power.frequency_mhz > 0:
         # dark-silicon capping slows the clock below the timing-closure
         # cycle; runtime must be charged at the operating point's clock
         cycle_ns = 1000.0 / power.frequency_mhz
@@ -420,15 +465,11 @@ _CHECK_FIELDS = (
 
 def _checked_incremental(
     desc: ast.Description,
-    kernels: Sequence[Kernel],
-    max_steps: int,
+    measurement: Measurement,
     label: str,
-    weights: Optional[CostWeights],
     cache: Optional[ArtifactCache],
     fp: str,
-    sim_backend: str,
     parent: ast.Description,
-    tech: Optional[TechSpec] = None,
 ) -> Evaluation:
     """Run incrementally *and* cold, assert-compare, return the incremental.
 
@@ -436,12 +477,9 @@ def _checked_incremental(
     parent-assisted evaluation is shadowed by a from-scratch one (no
     cache, no parent) and any metric divergence raises.
     """
-    incremental = _evaluate_uncached(desc, kernels, max_steps, label,
-                                     weights, cache=cache, fp=fp,
-                                     sim_backend=sim_backend, parent=parent,
-                                     tech=tech, _checked=True)
-    cold = _evaluate_uncached(desc, kernels, max_steps, label, weights,
-                              sim_backend=sim_backend, tech=tech)
+    incremental = _evaluate_uncached(desc, measurement, label, cache, fp,
+                                     parent, _checked=True)
+    cold = _evaluate_uncached(desc, measurement, label)
     for name in _CHECK_FIELDS:
         got, want = getattr(incremental, name), getattr(cold, name)
         if got != want:

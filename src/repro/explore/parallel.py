@@ -30,17 +30,16 @@ from __future__ import annotations
 import os
 import traceback
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..analyze.diagnostics import Diagnostic
 from ..cache import ArtifactCache
-from ..codegen.ir import Kernel
 from ..isdl import ast, fingerprint
 from ..obs.metrics import MetricsSnapshot
 from ..tech.model import TechSpec
-from .metrics import CostWeights, Evaluation, evaluate, evaluation_key
+from .metrics import Evaluation, Measurement, measure
 
 __all__ = ["EvalRequest", "EvalResult", "ParallelEvaluator"]
 
@@ -94,32 +93,26 @@ class EvalResult:
 
 # ----------------------------------------------------------------------
 # Process-pool worker side.  Workers are long-lived (one pool per
-# evaluator); the kernels/settings land once via the initializer and each
+# evaluator); the measurement lands once via the initializer and each
 # worker keeps a private artifact cache for intra-worker reuse.
 # ----------------------------------------------------------------------
 
 _WORKER_STATE: dict = {}
 
 
-def _pool_init(kernels: Sequence[Kernel], max_steps: int,
-               weights: Optional[CostWeights],
-               obs_enabled: bool = False,
-               sim_backend: str = "xsim",
-               memoize: bool = True) -> None:
-    _WORKER_STATE["kernels"] = list(kernels)
-    _WORKER_STATE["max_steps"] = max_steps
-    _WORKER_STATE["weights"] = weights
-    _WORKER_STATE["cache"] = ArtifactCache(max_entries=128)
-    _WORKER_STATE["sim_backend"] = sim_backend
+def _pool_init(measurement: Measurement, memoize: bool,
+               obs_enabled: bool) -> None:
+    _WORKER_STATE["measurement"] = measurement
     _WORKER_STATE["memoize"] = memoize
+    _WORKER_STATE["cache"] = ArtifactCache(max_entries=128)
     if obs_enabled:
         obs.enable()
 
 
 def _pool_evaluate(index: int, desc: ast.Description,
                    label: str,
-                   parent: Optional[ast.Description] = None,
-                   tech: Optional[TechSpec] = None,
+                   parent: Optional[ast.Description],
+                   tech: Optional[TechSpec],
                    ) -> Tuple[int, Optional[Evaluation],
                               Optional[str],
                               Optional[MetricsSnapshot]]:
@@ -127,17 +120,13 @@ def _pool_evaluate(index: int, desc: ast.Description,
     evaluation: Optional[Evaluation] = None
     with obs.capture() as cap:
         try:
-            evaluation = evaluate(
+            evaluation = measure(
                 desc,
-                _WORKER_STATE["kernels"],
-                _WORKER_STATE["max_steps"],
-                name=label,
-                weights=_WORKER_STATE["weights"],
+                _with_tech(_WORKER_STATE["measurement"], tech),
+                label,
                 cache=_WORKER_STATE["cache"],
-                sim_backend=_WORKER_STATE.get("sim_backend", "xsim"),
-                memoize=_WORKER_STATE.get("memoize", True),
+                memoize=_WORKER_STATE["memoize"],
                 parent=parent,
-                tech=tech,
             )
         except Exception as exc:  # noqa: BLE001 — failure capture is the point
             error = _format_error(exc)
@@ -149,37 +138,36 @@ def _format_error(exc: BaseException) -> str:
     return tail
 
 
+def _with_tech(measurement: Measurement,
+               tech: Optional[TechSpec]) -> Measurement:
+    """*measurement* with a request's own tech axis, when it has one."""
+    return measurement if tech is None else replace(measurement, tech=tech)
+
+
 class ParallelEvaluator:
     """Evaluate candidate descriptions concurrently behind one cache."""
 
     def __init__(
         self,
-        kernels: Sequence[Kernel],
+        measurement: Measurement,
         *,
-        weights: Optional[CostWeights] = None,
         cache: Optional[ArtifactCache] = None,
-        max_steps: int = 500_000,
         max_workers: Optional[int] = None,
         mode: str = "auto",
-        sim_backend: str = "xsim",
         static_check: bool = True,
         memoize: bool = True,
-        tech: Optional[TechSpec] = None,
     ):
         if mode not in ("auto", "process", "thread", "serial"):
             raise ValueError(f"unknown evaluator mode {mode!r}")
-        self.kernels = list(kernels)
-        self.weights = weights
+        #: how every candidate is measured; a request's own ``tech``
+        #: overrides the measurement's technology axis
+        self.measurement = measurement
         self.cache = cache
-        self.max_steps = max_steps
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
         self.mode = mode
-        self.sim_backend = sim_backend
         self.static_check = static_check
-        #: default technology axis; a request's own ``tech`` overrides it
-        self.tech = tech
         #: False disables the whole-evaluation memo and warm-path probe
-        #: (artifact-level caches still apply); see explore.metrics.evaluate
+        #: (artifact-level caches still apply); see explore.metrics.measure
         self.memoize = memoize
         self._pool = None
         self._pool_kind: Optional[str] = None
@@ -193,17 +181,10 @@ class ParallelEvaluator:
                  parent: Optional[ast.Description] = None,
                  tech: Optional[TechSpec] = None) -> Evaluation:
         """Measure a single candidate inline (exceptions propagate)."""
-        return evaluate(
-            desc, self.kernels, self.max_steps,
-            name=label, weights=self.weights, cache=self.cache,
-            sim_backend=self.sim_backend, memoize=self.memoize,
-            parent=parent, tech=tech if tech is not None else self.tech,
+        return measure(
+            desc, _with_tech(self.measurement, tech), label,
+            cache=self.cache, memoize=self.memoize, parent=parent,
         )
-
-    def _tech_for(self, request: EvalRequest) -> Optional[TechSpec]:
-        """The request's tech axis, falling back to the evaluator's."""
-        tech = getattr(request, "tech", None)
-        return tech if tech is not None else self.tech
 
     def evaluate_many(
         self, requests: Sequence[EvalRequest]
@@ -310,12 +291,9 @@ class ParallelEvaluator:
         if self.cache is None or not self.memoize:
             return None
         label = request.display_label
-        tech = self._tech_for(request)
+        measurement = _with_tech(self.measurement, request.tech)
         try:
-            key = evaluation_key(request.desc, self.kernels,
-                                 self.max_steps,
-                                 sim_backend=self.sim_backend,
-                                 tech=tech)
+            key = measurement.key(fingerprint(request.desc))
         except Exception:  # malformed candidate: let dispatch record it
             return None
         cached = self.cache.peek("evaluation", key)
@@ -323,7 +301,8 @@ class ParallelEvaluator:
             return None
         with obs.capture() as cap:
             # counted hit
-            evaluation = self.evaluate(request.desc, label, tech=tech)
+            evaluation = self.evaluate(request.desc, label,
+                                       tech=request.tech)
         return EvalResult(index, label, request.derived_by,
                           evaluation=evaluation, cached=True,
                           obs=cap.snapshot)
@@ -336,7 +315,7 @@ class ParallelEvaluator:
             try:
                 evaluation = self.evaluate(request.desc, label,
                                            parent=request.parent,
-                                           tech=self._tech_for(request))
+                                           tech=request.tech)
             except Exception as exc:  # noqa: BLE001 — failure capture
                 error = _format_error(exc)
         if error is not None:
@@ -363,8 +342,7 @@ class ParallelEvaluator:
                 futures.append(
                     (index, request,
                      pool.submit(_pool_evaluate, index, request.desc,
-                                 label, request.parent,
-                                 self._tech_for(request)))
+                                 label, request.parent, request.tech))
                 )
         except (BrokenExecutor, OSError, ValueError):
             self.shutdown()
@@ -411,10 +389,9 @@ class ParallelEvaluator:
         warm path serves it next time regardless of pool mode."""
         if self.cache is None or not self.memoize:
             return evaluation
-        key = evaluation_key(request.desc, self.kernels, self.max_steps,
-                             evaluation.fingerprint or None,
-                             sim_backend=self.sim_backend,
-                             tech=self._tech_for(request))
+        measurement = _with_tech(self.measurement, request.tech)
+        key = measurement.key(evaluation.fingerprint
+                              or fingerprint(request.desc))
         return self.cache.evaluation(key, lambda: evaluation)
 
     def _ensure_pool(self, kind: str):
@@ -434,8 +411,7 @@ class ParallelEvaluator:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_pool_init,
-                initargs=(self.kernels, self.max_steps, self.weights,
-                          obs.enabled(), self.sim_backend, self.memoize),
+                initargs=(self.measurement, self.memoize, obs.enabled()),
             )
         self._pool_kind = kind
         return self._pool

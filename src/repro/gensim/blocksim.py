@@ -44,7 +44,7 @@ from ..errors import ReproError, SimulationError
 from ..isdl import ast, rtl
 from ..isdl.fingerprint import fingerprint_delta
 from .cfg import ControlFlowAnalyzer, block_span
-from .compiled import CompiledSimulator, _make_commit
+from .compiled import CompiledSimulator, _make_commit, _storage_fault
 from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt
 from .monitors import MonitorSet
 from .render import render_instruction
@@ -849,10 +849,13 @@ class BlockSimulator(CompiledSimulator):
             and not self._pending
         )
         with obs.span("sim.run", backend="block", desc=self.desc.name):
-            if certified:
-                result = self._run_loop_certified(max_steps)
-            else:
-                result = self._run_loop(max_steps)
+            try:
+                if certified:
+                    result = self._run_loop_certified(max_steps)
+                else:
+                    result = self._run_loop(max_steps)
+            except IndexError as exc:
+                raise _storage_fault(exc) from None
         if obs.enabled():
             obs.add("sim.runs")
             obs.add("sim.cycles", self.cycle - cycles_before)

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..encoding.bits import mask, set_bits
-from ..errors import SimulationError
+from ..errors import SimulationError, StateError
 from ..isdl import ast, rtl
 from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt, ProcessingCore
 from .disassembler import DecodedInstruction, Disassembler
@@ -68,6 +68,13 @@ def _make_commit(name: str, width: int, hi, lo, is_array: bool):
                           _n=name, _hi=hi, _lo=effective_lo):
                 scalars[_n] = set_bits(scalars[_n], _hi, _lo, value)
     return commit_fn
+
+
+def _storage_fault(exc: IndexError) -> StateError:
+    """The reference cores' error for a generated routine's raw list
+    access that ran off the end of a storage (the generated code does
+    not bounds-check; the run boundary converts)."""
+    return StateError(f"storage index out of range ({exc})")
 
 
 class CompiledSimulator:
@@ -446,7 +453,10 @@ class CompiledSimulator:
         instructions_before = self.instructions
         cycles_before = self.cycle
         with obs.span("sim.run", backend="compiled", desc=self.desc.name):
-            result = self._run_loop(max_steps)
+            try:
+                result = self._run_loop(max_steps)
+            except IndexError as exc:
+                raise _storage_fault(exc) from None
         if obs.enabled():
             obs.add("sim.runs")
             obs.add("sim.cycles", self.cycle - cycles_before)

@@ -56,14 +56,8 @@ class HardwareModel:
     # -- Table 2 metrics -----------------------------------------------
 
     @property
-    def _tech(self) -> Optional[TechModel]:
-        # getattr: models unpickled from pre-tech cache entries lack
-        # the field (dataclass defaults do not apply on unpickle)
-        return getattr(self, "tech", None)
-
-    @property
     def cycle_ns(self) -> float:
-        tech = self._tech
+        tech = self.tech
         if tech is not None:
             return self.timing.cycle_ns * tech.delay_scale
         return self.timing.cycle_ns
@@ -74,7 +68,7 @@ class HardwareModel:
 
     @property
     def die_size(self) -> float:
-        tech = self._tech
+        tech = self.tech
         if tech is not None:
             return self.area.total * tech.area_scale
         return self.area.total
@@ -82,7 +76,7 @@ class HardwareModel:
     @property
     def core_die_size(self) -> float:
         """Die size excluding the instruction/data memory macros."""
-        tech = self._tech
+        tech = self.tech
         if tech is not None:
             return self.area.core_total * tech.area_scale
         return self.area.core_total
@@ -101,7 +95,7 @@ class HardwareModel:
         a model bound to a *different* technology is refused — project
         from the baseline model instead, so scale factors never stack.
         """
-        bound = self._tech
+        bound = self.tech
         if tech is None or tech is bound:
             return self
         if bound is not None:
@@ -109,8 +103,6 @@ class HardwareModel:
                 f"model already projected into {bound.name};"
                 f" re-project from the baseline model, not {tech.name}"
             )
-        if "tech" not in self.__dict__:  # pre-tech pickled model
-            self.tech = None
         return dataclasses.replace(self, tech=tech)
 
     @property

@@ -37,19 +37,14 @@ CODE_CROSS_FIELD_BITS = "ISDL013"
 CODE_CONSTRAINT_UNKNOWN_REF = "ISDL201"
 
 
-def check(desc: ast.Description, collect: bool = False) -> List[str]:
-    """Validate *desc*; raise on the first problem unless *collect*.
+def check(desc: ast.Description) -> None:
+    """Validate *desc*; raise on the first problem.
 
-    .. deprecated::
-        ``collect=True`` returning bare strings is a back-compat shim for
-        pre-``repro.analyze`` callers; new code should call
-        :func:`diagnose`, which returns structured ``Diagnostic`` objects
-        with stable codes, severities and source spans.
+    :func:`diagnose` reports every problem instead, as structured
+    ``Diagnostic`` objects with stable codes, severities and source spans.
     """
     with obs.span("isdl.check", desc=desc.name):
-        checker = _Checker(desc, collect)
-        checker.run()
-        return [d.legacy_text() for d in checker.diagnostics]
+        _Checker(desc, collect=False).run()
 
 
 def diagnose(desc: ast.Description) -> List[Diagnostic]:
@@ -102,7 +97,8 @@ class _Checker:
         else:
             # Raise-mode keeps the historical fail-fast contract: any
             # problem — warning-severity included — aborts the load.
-            raise IsdlSemanticError(diagnostic.legacy_text())
+            prefix = f"{location}: " if location is not None else ""
+            raise IsdlSemanticError(prefix + message)
 
     # ------------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Job records and the bounded priority queue of the evaluation service.
 
 A :class:`Job` is the unit of work a client submits: one candidate
-description plus the workload/backend/weight configuration to measure it
-under.  Jobs move through a small, explicit lifecycle::
+description plus the :class:`~repro.explore.metrics.Measurement` to take
+of it (workload kernels, backend, weights, step budget, technology).
+Jobs move through a small, explicit lifecycle::
 
     queued ──▶ running ──▶ succeeded
        │          │  └────▶ failed          (error / timeout exhausted)
@@ -19,7 +20,7 @@ the service needs and ``queue.PriorityQueue`` does not give us together:
 a hard depth bound that *raises* (:class:`QueueFullError` — the HTTP
 layer turns it into a 429) instead of blocking the acceptor thread,
 per-entry ``not_before`` delays for retry backoff, and a batch pop that
-groups ready jobs sharing an evaluator configuration.
+groups ready jobs sharing one measurement.
 
 Ready ordering is ``(-priority, seq)`` where ``seq`` is assigned on the
 *first* push and sticks to the job for life: a job that times out and is
@@ -42,8 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..analyze.diagnostics import Diagnostic
 from ..errors import ReproError
-from ..explore.metrics import CostWeights, Evaluation
-from ..tech.model import TechSpec
+from ..explore.metrics import CostWeights, Evaluation, Measurement
 
 __all__ = [
     "Job",
@@ -109,11 +109,11 @@ class Job:
     id: str
     desc: Any  # ast.Description (kept loose: jobs never pickle)
     label: str
+    #: workload names as submitted (the wire spelling of the kernels)
     workloads: Tuple[str, ...]
-    kernels: Tuple[Any, ...]  # resolved codegen Kernels, submission order
-    weights: CostWeights
-    backend: str
-    max_steps: int
+    #: how to measure the candidate; jobs with equal measurements share
+    #: one pooled evaluator and may run in one batch
+    measurement: Measurement
     priority: int = 0
     timeout_s: float = 60.0
     #: the coalescing key (shared with the service; None when disabled)
@@ -138,8 +138,6 @@ class Job:
     strategy_params: Dict[str, Any] = field(default_factory=dict)
     #: exploration summary attached to a terminal strategy job
     exploration: Optional[Dict[str, Any]] = None
-    #: technology/budget axis validated at admission (None = baseline)
-    tech: Optional[TechSpec] = None
     #: queue sequence number, assigned on first push and preserved across
     #: requeues so a retried job keeps its place in line
     seq: Optional[int] = None
@@ -154,18 +152,6 @@ class Job:
     def done(self) -> bool:
         return self.state.terminal
 
-    @property
-    def config_key(self) -> Tuple:
-        """What must match for two jobs to share one evaluator/batch."""
-        key = (self.workloads, (self.weights.runtime, self.weights.area,
-                                self.weights.power),
-               self.backend, self.max_steps)
-        if self.tech is not None:
-            # appended only when set: tech-free jobs keep the exact
-            # historical key shape (and batch exactly as before)
-            key = key + (self.tech.cache_key,)
-        return key
-
     def to_dict(self, full: bool = True) -> Dict[str, Any]:
         """The job's wire representation (JSON-serializable)."""
         if self.restored is not None:
@@ -174,12 +160,13 @@ class Job:
             record["state"] = self.state.value
             record["restored"] = True
             return record
+        measurement = self.measurement
         payload: Dict[str, Any] = {
             "id": self.id,
             "state": self.state.value,
             "label": self.label,
             "workloads": list(self.workloads),
-            "backend": self.backend,
+            "backend": measurement.backend,
             "priority": self.priority,
             "created_at": self.created_at,
         }
@@ -188,16 +175,17 @@ class Job:
         if self.strategy is not None:
             payload["strategy"] = {"name": self.strategy,
                                    "params": dict(self.strategy_params)}
-        if self.tech is not None:
-            tech: Dict[str, Any] = {"node": self.tech.node_nm,
-                                    "flavor": self.tech.flavor}
-            if self.tech.budget_mw is not None:
-                tech["budget_mw"] = self.tech.budget_mw
+        if measurement.tech is not None:
+            spec = measurement.tech
+            tech: Dict[str, Any] = {"node": spec.node_nm,
+                                    "flavor": spec.flavor}
+            if spec.budget_mw is not None:
+                tech["budget_mw"] = spec.budget_mw
             payload["tech"] = tech
         if not full:
             return payload
         payload.update(
-            max_steps=self.max_steps,
+            max_steps=measurement.max_steps,
             timeout_s=self.timeout_s,
             attempts=self.attempts,
             started_at=self.started_at,
@@ -210,7 +198,7 @@ class Job:
             payload["diagnostics"] = [d.to_dict() for d in self.diagnostics]
         if self.evaluation is not None:
             payload["result"] = _evaluation_dict(self.evaluation,
-                                                 self.weights)
+                                                 measurement.weights)
         if self.exploration is not None:
             payload["exploration"] = dict(self.exploration)
         return payload
@@ -233,15 +221,13 @@ def _evaluation_dict(evaluation: Evaluation,
         "per_kernel_cycles": dict(evaluation.per_kernel_cycles),
         "fingerprint": evaluation.fingerprint,
     }
-    # getattr: evaluations unpickled from pre-tech caches lack the fields
-    node = getattr(evaluation, "tech_node", None)
-    if node is not None:
+    if evaluation.tech_node is not None:
         record["tech"] = {
-            "node": node,
-            "flavor": getattr(evaluation, "tech_flavor", None),
-            "vdd": getattr(evaluation, "vdd", None),
-            "budget_mw": getattr(evaluation, "budget_mw", None),
-            "capped": getattr(evaluation, "power_capped", False),
+            "node": evaluation.tech_node,
+            "flavor": evaluation.tech_flavor,
+            "vdd": evaluation.vdd,
+            "budget_mw": evaluation.budget_mw,
+            "capped": evaluation.power_capped,
         }
     return record
 
@@ -308,7 +294,7 @@ class JobQueue:
     def pop_batch(self, batch_size: int = 1,
                   timeout: Optional[float] = None) -> Optional[List[Job]]:
         """Block for the next ready job; greedily add up to
-        ``batch_size - 1`` more ready jobs sharing its ``config_key``.
+        ``batch_size - 1`` more ready jobs sharing its ``measurement``.
 
         Returns None when the queue was stopped and nothing ready remains
         (or *timeout* elapsed).  Jobs with a different configuration stay
@@ -324,7 +310,7 @@ class JobQueue:
             self._promote(time.monotonic())
             while len(batch) < batch_size and self._ready:
                 entry = heapq.heappop(self._ready)
-                if entry[2].config_key == first.config_key:
+                if entry[2].measurement == first.measurement:
                     batch.append(entry[2])
                 else:
                     skipped.append(entry)

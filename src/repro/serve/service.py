@@ -16,7 +16,7 @@ The robustness machinery, in the order a submission meets it:
    as a ``rejected`` job carrying the full diagnostic list (same
    ISDLxxx codes ``repro-lint`` prints) and costs no toolchain work.
 2. **In-flight coalescing** — submissions are keyed by (description
-   fingerprint, workload kernels, backend, weights, max_steps); while a
+   fingerprint, :class:`~repro.explore.metrics.Measurement`); while a
    twin job is queued or running, a duplicate becomes a *follower* that
    shares the leader's single evaluation.  This is the concurrent dual
    of the artifact cache: the cache dedupes across time, coalescing
@@ -34,8 +34,8 @@ The robustness machinery, in the order a submission meets it:
    admissions, lets in-flight evaluations finish, and reports every
    still-queued job as ``cancelled``.
 
-Worker threads batch ready jobs that share an evaluator configuration
-(same workloads/weights/backend/max_steps, up to ``batch_size``), so a
+Worker threads batch ready jobs that share one measurement (same
+kernels/weights/backend/max_steps/tech, up to ``batch_size``), so a
 burst of related candidates reuses one evaluator and its warm caches
 back to back.
 
@@ -62,12 +62,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..analyze.diagnostics import Diagnostic, Severity
-from ..cache import ArtifactCache, kernel_fingerprint
+from ..cache import ArtifactCache
 from ..codegen.kernels import resolve_kernels
 from ..errors import CodegenError, IsdlSyntaxError, ReproError
 from ..explore import strategies as strategy_registry
 from ..explore.explorer import Explorer
-from ..explore.metrics import CostWeights
+from ..explore.metrics import CostWeights, Measurement
 from ..explore.parallel import EvalRequest, ParallelEvaluator
 from ..isdl import fingerprint
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
@@ -186,7 +186,7 @@ class EvaluationService:
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []  # submission order, for listings
         self._inflight: Dict[Tuple, Job] = {}
-        self._evaluators: "OrderedDict[Tuple, ParallelEvaluator]" = \
+        self._evaluators: "OrderedDict[Measurement, ParallelEvaluator]" = \
             OrderedDict()
         self._lock = threading.RLock()
         self._done_cond = threading.Condition(self._lock)
@@ -444,15 +444,10 @@ class EvaluationService:
             self._parse_strategy(payload.get("strategy"))
         tech, tech_diags = self._parse_tech(payload.get("tech"))
         parse_diags = parse_diags + strategy_diags + tech_diags
+        measurement = Measurement(kernels, max_steps, backend, weights, tech)
         key = None
         if desc is not None:
-            key = (
-                fingerprint(desc),
-                tuple(kernel_fingerprint(k) for k in kernels),
-                backend,
-                (weights.runtime, weights.area, weights.power),
-                max_steps,
-            )
+            key = (fingerprint(desc), measurement)
             if strategy is not None:
                 # a search over a description is a different unit of work
                 # than measuring it; plain jobs keep the exact seed key
@@ -461,18 +456,12 @@ class EvaluationService:
                     tuple(sorted((k, repr(v))
                                  for k, v in strategy_params.items())),
                 )
-            if tech is not None:
-                # tech-pinned jobs are a distinct unit of work; jobs
-                # without the field keep the exact historical key shape
-                key = key + (tech.cache_key,)
         return Job(
             id=job_id or new_job_id(self.config.shard_id),
             desc=desc, label=label, workloads=workloads,
-            kernels=kernels, weights=weights, backend=backend,
-            max_steps=max_steps, priority=priority, timeout_s=timeout_s,
+            measurement=measurement, priority=priority, timeout_s=timeout_s,
             key=key, diagnostics=parse_diags,
             strategy=strategy, strategy_params=strategy_params,
-            tech=tech,
         )
 
     def _parse_strategy(self, spec: Any) -> Tuple[
@@ -716,7 +705,7 @@ class EvaluationService:
         evaluator = self._evaluator_for(job)
         if job.strategy is not None:
             return self._explore(job, evaluator)
-        request = EvalRequest(job.desc, label=job.label, tech=job.tech)
+        request = EvalRequest(job.desc, label=job.label)
         result = evaluator.evaluate_many([request])[0]
         if not result.cached:
             self._count("serve.evaluations_run")
@@ -733,7 +722,8 @@ class EvaluationService:
         raw = params.pop("max_evaluations", None)
         max_evaluations = None if raw is None else int(raw)
         strategy = strategy_registry.get(job.strategy, **params)
-        explorer = Explorer(list(job.kernels), job.weights,
+        measurement = job.measurement
+        explorer = Explorer(measurement.kernels, measurement.weights,
                             evaluator=evaluator)
         log = explorer.explore(
             job.desc,
@@ -754,14 +744,14 @@ class EvaluationService:
             "improvement": log.improvement,
             "best": {
                 "derived_by": log.best.derived_by,
-                "cost": log.best.cost(job.weights),
+                "cost": log.best.cost(measurement.weights),
                 "fingerprint": fingerprint(log.best.desc),
             },
             "frontier": [
                 {
                     "label": candidate.evaluation.name,
                     "derived_by": candidate.derived_by,
-                    "cost": candidate.cost(job.weights),
+                    "cost": candidate.cost(measurement.weights),
                 }
                 for candidate in frontier
             ],
@@ -778,23 +768,19 @@ class EvaluationService:
         return log.best.evaluation, None, False
 
     def _evaluator_for(self, job: Job) -> ParallelEvaluator:
-        """The shared per-configuration evaluator (bounded LRU)."""
-        key = job.config_key
+        """The shared per-measurement evaluator (bounded LRU)."""
+        key = job.measurement
         with self._lock:
             evaluator = self._evaluators.get(key)
             if evaluator is not None:
                 self._evaluators.move_to_end(key)
                 return evaluator
             evaluator = ParallelEvaluator(
-                list(job.kernels),
-                weights=job.weights,
+                key,
                 cache=self.cache,
-                max_steps=job.max_steps,
                 mode="serial",
-                sim_backend=job.backend,
                 static_check=False,  # the admission gate already ran
                 memoize=self.config.share_evaluations,
-                tech=job.tech,
             )
             self._evaluators[key] = evaluator
             evicted = []
@@ -937,9 +923,9 @@ def _restored_job(job_id: str, record: Dict[str, Any]) -> Job:
     return Job(
         id=job_id, desc=None,
         label=str(record.get("label", "<restored>")),
-        workloads=tuple(record.get("workloads") or ()), kernels=(),
-        weights=CostWeights(), backend=str(record.get("backend", "xsim")),
-        max_steps=0, state=state, restored=record,
+        workloads=tuple(record.get("workloads") or ()),
+        measurement=Measurement(()),  # to_dict() serves the record
+        state=state, restored=record,
         created_at=record.get("created_at") or time.time(),
         finished_at=record.get("finished_at"),
         error=record.get("error"),

@@ -233,7 +233,7 @@ class TechSpec:
 
     @property
     def cache_key(self) -> Tuple:
-        """The tuple folded into evaluation/coalescing keys when set."""
+        """The technology's field of :meth:`repro.explore.Measurement.key`."""
         return ("tech", self.node_nm, self.flavor, self.budget_mw)
 
     def label(self) -> str:

@@ -59,11 +59,6 @@ def test_diagnostic_str_without_location_or_context():
     assert str(diag(where="", location=None)) == "error ISDL101: boom"
 
 
-def test_legacy_text_matches_old_check_shape():
-    assert diag().legacy_text() == "t.isdl:3:7: boom"
-    assert diag(location=None).legacy_text() == "boom"
-
-
 def test_to_dict_round_trips_through_json():
     payload = json.loads(json.dumps(diag().to_dict()))
     assert payload == {

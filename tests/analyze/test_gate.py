@@ -4,7 +4,12 @@ from repro import obs
 from repro.arch import description_for
 from repro.cache import ArtifactCache
 from repro.codegen import Cond, KernelBuilder, Opcode
-from repro.explore import EvalRequest, Explorer, ParallelEvaluator
+from repro.explore import (
+    EvalRequest,
+    Explorer,
+    Measurement,
+    ParallelEvaluator,
+)
 from repro.isdl import load_string
 
 AMBIGUOUS_ISDL = '''
@@ -49,7 +54,7 @@ def sum_kernel(n=4):
 
 def test_gate_rejects_invalid_candidate_before_evaluation():
     cache = ArtifactCache()
-    with ParallelEvaluator([sum_kernel()], cache=cache,
+    with ParallelEvaluator(Measurement([sum_kernel()]), cache=cache,
                            mode="serial") as ev:
         (result,) = ev.evaluate_many(
             [EvalRequest(ambiguous_desc(), "mutated")]
@@ -68,7 +73,8 @@ def test_gate_counts_rejections_in_obs():
     obs.enable()
     try:
         with obs.capture() as cap:
-            with ParallelEvaluator([sum_kernel()], mode="serial") as ev:
+            with ParallelEvaluator(Measurement([sum_kernel()]),
+                                   mode="serial") as ev:
                 ev.evaluate_many([EvalRequest(ambiguous_desc())])
     finally:
         obs.disable(reset=True)
@@ -76,7 +82,7 @@ def test_gate_counts_rejections_in_obs():
 
 
 def test_gate_passes_valid_candidates_through():
-    with ParallelEvaluator([sum_kernel()], mode="serial") as ev:
+    with ParallelEvaluator(Measurement([sum_kernel()]), mode="serial") as ev:
         (result,) = ev.evaluate_many(
             [EvalRequest(description_for("risc16"))]
         )
@@ -86,7 +92,7 @@ def test_gate_passes_valid_candidates_through():
 
 
 def test_gate_can_be_disabled():
-    with ParallelEvaluator([sum_kernel()], mode="serial",
+    with ParallelEvaluator(Measurement([sum_kernel()]), mode="serial",
                            static_check=False) as ev:
         (result,) = ev.evaluate_many([EvalRequest(ambiguous_desc())])
     # without the gate the tool chain runs and reports infeasibility
@@ -98,7 +104,7 @@ def test_gate_can_be_disabled():
 
 def test_gate_memoizes_analysis_in_cache():
     cache = ArtifactCache()
-    with ParallelEvaluator([sum_kernel()], cache=cache,
+    with ParallelEvaluator(Measurement([sum_kernel()]), cache=cache,
                            mode="serial") as ev:
         ev.evaluate_many([EvalRequest(ambiguous_desc())])
         ev.evaluate_many([EvalRequest(ambiguous_desc())])
@@ -107,7 +113,7 @@ def test_gate_memoizes_analysis_in_cache():
 
 
 def test_malformed_candidate_still_recorded_the_pre_gate_way():
-    with ParallelEvaluator([sum_kernel()], mode="serial") as ev:
+    with ParallelEvaluator(Measurement([sum_kernel()]), mode="serial") as ev:
         (result,) = ev.evaluate_many(
             [EvalRequest("not a description", "broken")]
         )

@@ -9,6 +9,7 @@ from repro.explore import (
     CostWeights,
     EvalRequest,
     Explorer,
+    Measurement,
     ParallelEvaluator,
 )
 from repro.isdl import fingerprint
@@ -36,13 +37,14 @@ def requests():
 
 @pytest.fixture(scope="module")
 def serial_results():
-    with ParallelEvaluator([sum_kernel()], mode="serial") as ev:
+    with ParallelEvaluator(Measurement([sum_kernel()]), mode="serial") as ev:
         return ev.evaluate_many(requests())
 
 
 @pytest.mark.parametrize("mode", ["thread", "process"])
 def test_pool_modes_match_serial_results(mode, serial_results):
-    with ParallelEvaluator([sum_kernel()], mode=mode) as evaluator:
+    with ParallelEvaluator(Measurement([sum_kernel()]),
+                           mode=mode) as evaluator:
         results = evaluator.evaluate_many(requests())
     assert [r.index for r in results] == [0, 1, 2]
     for got, want in zip(results, serial_results):
@@ -61,7 +63,8 @@ def test_failed_candidate_is_recorded_not_raised(mode):
         EvalRequest("not a description", "broken"),
         EvalRequest(description_for("risc16"), "good-too"),
     ]
-    with ParallelEvaluator([sum_kernel()], mode=mode) as evaluator:
+    with ParallelEvaluator(Measurement([sum_kernel()]),
+                           mode=mode) as evaluator:
         results = evaluator.evaluate_many(batch)
     assert len(results) == 3
     assert results[0].ok and results[0].evaluation.feasible
@@ -73,7 +76,8 @@ def test_failed_candidate_is_recorded_not_raised(mode):
 def test_warm_cache_skips_dispatch():
     cache = ArtifactCache()
     kernels = [sum_kernel()]
-    with ParallelEvaluator(kernels, cache=cache, mode="serial") as ev:
+    with ParallelEvaluator(Measurement(kernels), cache=cache,
+                           mode="serial") as ev:
         first = ev.evaluate_many(requests())
         assert all(not r.cached for r in first)
         second = ev.evaluate_many(requests())
@@ -85,7 +89,8 @@ def test_warm_cache_skips_dispatch():
 def test_process_results_warm_the_parent_cache():
     cache = ArtifactCache()
     kernels = [sum_kernel()]
-    with ParallelEvaluator(kernels, cache=cache, mode="process") as ev:
+    with ParallelEvaluator(Measurement(kernels), cache=cache,
+                           mode="process") as ev:
         ev.evaluate_many(requests())
         again = ev.evaluate_many(requests())
     assert all(r.cached for r in again)
@@ -95,7 +100,7 @@ def test_process_results_warm_the_parent_cache():
 def test_weights_travel_with_evaluations():
     weights = CostWeights(1.0, 0.0, 0.0)
     with ParallelEvaluator(
-        [sum_kernel()], weights=weights, mode="serial"
+        Measurement([sum_kernel()], weights=weights), mode="serial"
     ) as ev:
         (result,) = ev.evaluate_many(
             [EvalRequest(description_for("risc16"))]
@@ -116,7 +121,7 @@ def test_explorer_parallel_matches_seed_serial_engine():
     serial = Explorer(
         kernels, weights,
         evaluator=ParallelEvaluator(
-            kernels, weights=weights, cache=None, mode="serial"
+            Measurement(kernels, weights=weights), cache=None, mode="serial"
         ),
     ).explore(description_for("spam"), max_iterations=2)
     parallel = Explorer(kernels, weights).explore(
@@ -148,7 +153,8 @@ def test_explorer_records_candidate_errors_without_aborting():
 
     explorer = Explorer(
         kernels,
-        evaluator=Sabotaged(kernels, cache=ArtifactCache(), mode="serial"),
+        evaluator=Sabotaged(Measurement(kernels), cache=ArtifactCache(),
+                            mode="serial"),
     )
     log = explorer.explore(description_for("spam"), max_iterations=2)
     assert log.errors, "sabotaged candidates should be recorded"
@@ -169,7 +175,7 @@ def test_explorer_cache_shared_across_explore_calls():
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        ParallelEvaluator([sum_kernel()], mode="quantum")
+        ParallelEvaluator(Measurement([sum_kernel()]), mode="quantum")
 
 
 # ----------------------------------------------------------------------
@@ -179,9 +185,9 @@ def test_unknown_mode_rejected():
 
 def test_block_backend_matches_xsim_cycles():
     kernels = [sum_kernel()]
-    with ParallelEvaluator(kernels, mode="serial") as ref, \
-            ParallelEvaluator(kernels, mode="serial",
-                              sim_backend="block") as fast:
+    with ParallelEvaluator(Measurement(kernels), mode="serial") as ref, \
+            ParallelEvaluator(Measurement(kernels, backend="block"),
+                              mode="serial") as fast:
         want = ref.evaluate_many(requests())
         got = fast.evaluate_many(requests())
     for a, b in zip(got, want):
@@ -195,10 +201,11 @@ def test_backend_is_part_of_the_evaluation_key():
     cache = ArtifactCache()
     kernels = [sum_kernel()]
     desc = description_for("risc16")
-    with ParallelEvaluator(kernels, cache=cache, mode="serial") as ev:
+    with ParallelEvaluator(Measurement(kernels), cache=cache,
+                           mode="serial") as ev:
         ev.evaluate_many([EvalRequest(desc)])
-    with ParallelEvaluator(kernels, cache=cache, mode="serial",
-                           sim_backend="block") as ev:
+    with ParallelEvaluator(Measurement(kernels, backend="block"),
+                           cache=cache, mode="serial") as ev:
         (result,) = ev.evaluate_many([EvalRequest(desc)])
     # a different backend is a different measurement, not a cache hit
     assert not result.cached

@@ -6,7 +6,12 @@ import pytest
 
 from repro.arch import description_for
 from repro.codegen import Cond, KernelBuilder, Opcode
-from repro.explore import CostWeights, Explorer, ParallelEvaluator
+from repro.explore import (
+    CostWeights,
+    Explorer,
+    Measurement,
+    ParallelEvaluator,
+)
 from repro.explore.pareto import (
     dominates,
     frontier,
@@ -146,7 +151,7 @@ def sum_kernel(n=6):
 
 def test_objectives_vector_shape():
     weights = CostWeights(1.0, 0.5, 0.3)
-    with ParallelEvaluator([sum_kernel()], weights=weights,
+    with ParallelEvaluator(Measurement([sum_kernel()], weights=weights),
                            mode="serial") as ev:
         evaluation = ev.evaluate(description_for("risc16"))
     vec = objectives(evaluation, weights)

@@ -2,7 +2,6 @@
 redesigned exploration API (repro.explore.strategies)."""
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -131,48 +130,21 @@ def test_explore_rejects_unknown_strategy():
 
 
 # ----------------------------------------------------------------------
-# deprecation shims (satellite 1)
+# keyword-only options
 # ----------------------------------------------------------------------
 
 
-def test_positional_max_iterations_warns_but_works():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        log = explorer().explore(description_for("risc16"), 2)
-    assert [w for w in caught
-            if issubclass(w.category, DeprecationWarning)]
-    assert log.iterations <= 2
-    assert log.accepted
-
-
-def test_keyword_spelling_stays_silent():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        explorer().explore(description_for("risc16"), max_iterations=1)
-    assert not [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-
-
-def test_evaluate_positional_derived_by_warns():
+def test_evaluate_takes_derived_by_as_keyword_only():
     ex = explorer()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        candidate = ex.evaluate(description_for("risc16"), "seeded")
-    assert [w for w in caught
-            if issubclass(w.category, DeprecationWarning)]
+    candidate = ex.evaluate(description_for("risc16"), derived_by="seeded")
     assert candidate.derived_by == "seeded"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ex.evaluate(description_for("risc16"), derived_by="seeded")
-    assert not [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
+    with pytest.raises(TypeError):
+        ex.evaluate(description_for("risc16"), "seeded")
 
 
 def test_too_many_positionals_raise():
     with pytest.raises(TypeError):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            explorer().explore(description_for("risc16"), 2, "greedy")
+        explorer().explore(description_for("risc16"), 2, "greedy")
 
 
 # ----------------------------------------------------------------------

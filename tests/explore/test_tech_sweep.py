@@ -7,12 +7,14 @@ baseline's single point, while the baseline synthesis is shared — one
 ``hgen.syntheses`` tick for the whole sweep.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import obs
 from repro.arch import description_for
 from repro.codegen import Cond, KernelBuilder, Opcode
-from repro.explore import Explorer, evaluation_key, operating_point_table
+from repro.explore import Explorer, Measurement, operating_point_table
 from repro.explore.pareto import frontier, objectives
 from repro.tech import TechSpec
 
@@ -106,12 +108,9 @@ def test_operating_point_table_empty_without_tech(sweep):
     assert operating_point_table([candidates[0].evaluation]) == ""
 
 
-def test_tech_free_evaluation_key_shape_is_unchanged():
-    desc = description_for("spam2")
-    kernels = [sum_kernel()]
-    bare = evaluation_key(desc, kernels, 1000)
-    assert len(bare) == 4
-    extended = evaluation_key(desc, kernels, 1000,
-                              tech=TechSpec(22, "HP", 2.0))
-    assert extended[:4] == bare
-    assert extended[4] == ("tech", 22, "HP", 2.0)
+def test_tech_changes_the_evaluation_key():
+    fp = "f" * 64
+    bare = Measurement([sum_kernel()], 1000)
+    budgeted = replace(bare, tech=TechSpec(22, "HP", 2.0))
+    assert budgeted.key(fp) != bare.key(fp)
+    assert budgeted.key(fp) != replace(bare, tech=TechSpec(22, "HP")).key(fp)

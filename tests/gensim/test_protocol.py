@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.arch import description_for
 from repro.asm import assemble
+from repro.codegen.kernels import resolve_kernels
+from repro.explore import evaluate
+from repro.explore.transforms import resize_memory
 from repro.gensim import (
     CompiledSimulator,
     RunResult,
@@ -146,3 +150,21 @@ def test_xsim_accepts_prebuilt_core(risc16_desc, program):
     assert sim.table is table
     load(sim, program)
     assert sim.run_to_completion().cycles > 0
+
+
+# ----------------------------------------------------------------------
+# Error paths: a storage access out of range is a fault on every backend
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["xsim", "compiled", "block"])
+def test_out_of_range_storage_access_is_infeasible(backend):
+    # the compiled/block routines index raw lists; the run boundary must
+    # report the fault the way the reference core does, not leak an
+    # IndexError out of the evaluation
+    desc = resize_memory(description_for("spam"), "DM", 4)
+    evaluation = evaluate(desc, resolve_kernels(["sum:40", "dot:8"]),
+                          sim_backend=backend)
+    assert not evaluation.feasible
+    assert evaluation.reason.startswith("kernel 'dot8': ")
+    assert "out of range" in evaluation.reason

@@ -50,7 +50,9 @@ def test_valid_description_passes():
     check_text(BASE + GOOD_FIELD)
 
 
-def test_collect_mode_returns_all_problems():
+def test_diagnose_returns_all_problems():
+    from repro.isdl import semantics
+
     desc = parse(BASE + '''
 section instruction_set
     field EX
@@ -61,7 +63,7 @@ section instruction_set
     end
 end
 ''')
-    problems = check(desc, collect=True)
+    problems = [d.message for d in semantics.diagnose(desc)]
     assert len(problems) >= 2  # unencoded parameter + invalid size cost
     assert any("never encoded" in p for p in problems)
     assert any("invalid costs" in p for p in problems)
@@ -335,9 +337,9 @@ def test_diagnose_clean_description_is_empty():
     assert semantics.diagnose(parse(BASE + GOOD_FIELD)) == []
 
 
-def test_collect_shim_matches_diagnose_legacy_text():
-    # the deprecated collect=True shape is exactly the structured
-    # diagnostics run through legacy_text()
+def test_check_error_is_location_then_message():
+    # check() raises the first problem diagnose() reports, as
+    # "location: message"
     from repro.isdl import semantics
 
     desc = parse(BASE + '''
@@ -350,10 +352,11 @@ section instruction_set
     end
 end
 ''')
-    legacy = check(desc, collect=True)
-    structured = semantics.diagnose(desc)
-    assert legacy == [d.legacy_text() for d in structured]
-    assert all(isinstance(p, str) for p in legacy)
+    first = semantics.diagnose(desc)[0]
+    assert first.location is not None
+    with pytest.raises(IsdlSemanticError) as excinfo:
+        check(desc)
+    assert str(excinfo.value) == f"{first.location}: {first.message}"
 
 
 def test_unknown_constraint_ref_is_warning_severity():

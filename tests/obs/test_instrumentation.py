@@ -8,7 +8,7 @@ from repro import obs
 from repro.arch import description_for
 from repro.cache import ArtifactCache
 from repro.codegen import Cond, KernelBuilder, Opcode
-from repro.explore import Explorer, ParallelEvaluator
+from repro.explore import Explorer, Measurement, ParallelEvaluator
 from repro.explore.parallel import EvalRequest
 from repro.hgen import synthesize
 
@@ -190,7 +190,8 @@ def _structural(counters):
 @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
 def test_eval_results_carry_profiles(mode, spam2_desc):
     obs.enable()
-    evaluator = ParallelEvaluator([_kernel()], cache=ArtifactCache(),
+    evaluator = ParallelEvaluator(Measurement([_kernel()]),
+                                  cache=ArtifactCache(),
                                   mode=mode, max_workers=2)
     try:
         requests = [EvalRequest(spam2_desc, label=f"c{i}")
@@ -211,7 +212,8 @@ def test_eval_results_carry_profiles(mode, spam2_desc):
 def test_process_pool_merge_is_deterministic(spam2_desc):
     def run():
         obs.enable()
-        evaluator = ParallelEvaluator([_kernel()], cache=ArtifactCache(),
+        evaluator = ParallelEvaluator(Measurement([_kernel()]),
+                                      cache=ArtifactCache(),
                                       mode="process", max_workers=2)
         try:
             results = evaluator.evaluate_many([
@@ -234,7 +236,8 @@ def test_process_pool_merge_is_deterministic(spam2_desc):
 
 
 def test_disabled_run_ships_no_snapshots(spam2_desc):
-    evaluator = ParallelEvaluator([_kernel()], cache=ArtifactCache(),
+    evaluator = ParallelEvaluator(Measurement([_kernel()]),
+                                  cache=ArtifactCache(),
                                   mode="process", max_workers=2)
     try:
         results = evaluator.evaluate_many(

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from repro.explore.metrics import CostWeights
+from repro.codegen.kernels import resolve_kernels
+from repro.explore.metrics import CostWeights, Measurement
 from repro.serve.jobs import (
     Job,
     JobQueue,
@@ -22,7 +23,8 @@ def make_job(label="j", priority=0, workloads=("sum",), backend="xsim",
              max_steps=1000):
     return Job(
         id=new_job_id(), desc=None, label=label, workloads=workloads,
-        kernels=(), weights=WEIGHTS, backend=backend, max_steps=max_steps,
+        measurement=Measurement(resolve_kernels(list(workloads)), max_steps,
+                                backend, WEIGHTS),
         priority=priority,
     )
 
@@ -199,5 +201,5 @@ def test_config_key_ignores_priority_and_timeout():
     a = make_job("a", priority=0)
     b = make_job("b", priority=9)
     b.timeout_s = 1.0
-    assert a.config_key == b.config_key
-    assert a.config_key != make_job("c", backend="block").config_key
+    assert a.measurement == b.measurement
+    assert a.measurement != make_job("c", backend="block").measurement

@@ -12,6 +12,7 @@ from repro.serve import (
 )
 from repro.serve.cli import main as cli_main
 from repro.serve.service import BadRequestError, CODE_BAD_TECH
+from repro.tech import TechSpec
 
 from .conftest import instant_eval, payload
 
@@ -92,7 +93,7 @@ def test_absent_tech_field_unchanged(service_factory):
     job = service.submit(payload())
     service.wait(job.id, timeout=10)
     record = job.to_dict()
-    assert job.tech is None
+    assert job.measurement.tech is None
     assert "tech" not in record
     assert json.dumps(record)  # still JSON-serializable
 
@@ -106,8 +107,9 @@ def test_tech_extends_the_coalescing_key(service_factory):
     assert bare.key != pinned.key
     assert pinned.key != budgeted.key
     assert budgeted.key == again.key
-    # the tech-free key keeps its historical shape: pinned is a superset
-    assert pinned.key[:len(bare.key)] == bare.key
+    # the technology lives in the job's one measurement value
+    assert pinned.key == (bare.key[0], pinned.measurement)
+    assert pinned.measurement.tech == TechSpec(22, "HP", None)
 
 
 # ----------------------------------------------------------------------

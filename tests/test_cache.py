@@ -159,6 +159,25 @@ def test_corrupt_disk_entry_is_a_miss(tmp_path):
     assert fresh.get_or_build("evaluation", "key", lambda: 2) == 2
 
 
+def test_entry_of_another_format_version_is_a_plain_miss(tmp_path,
+                                                         monkeypatch):
+    import repro.cache as cache_mod
+
+    disk = str(tmp_path / "artifacts")
+    current = cache_mod.DISK_FORMAT_VERSION
+    monkeypatch.setattr(cache_mod, "DISK_FORMAT_VERSION", current - 1)
+    old = ArtifactCache(disk_path=disk)
+    old.get_or_build("evaluation", "key", lambda: "stale")
+    monkeypatch.setattr(cache_mod, "DISK_FORMAT_VERSION", current)
+    cache = ArtifactCache(disk_path=disk)
+    assert cache.get_or_build("evaluation", "key", lambda: "fresh") \
+        == "fresh"
+    assert cache.stats.disk_hits == 0
+    assert cache.stats.disk_errors == 0  # a miss, not a corrupt entry
+    # both versions' entries sit side by side; neither was deleted
+    assert len(os.listdir(disk)) == 2
+
+
 # ----------------------------------------------------------------------
 # Whole-evaluation memoization and invalidation
 # ----------------------------------------------------------------------

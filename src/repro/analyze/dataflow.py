@@ -18,27 +18,31 @@ four concrete lattices —
   out of scope — the lattice answers "can this value change what the
   program does next", which is the question dead-write elision asks).
 
-The facts land in three consumers:
+The facts serve two purposes:
 
 1. the ``ISDL6xx`` diagnostics of :func:`pass_dataflow` (registered in
    :data:`repro.analyze.passes.ALL_PASSES`) — unreachable blocks,
    provably never-halting programs, always-false guards, dead
    conditional writes, and storages written-but-never-read across every
    supplied workload program;
-2. **proof certificates** for :class:`repro.gensim.blocksim.BlockSimulator`
-   — :class:`DeoptFreedom` (no self-modifying stores, every PC target
-   resolved, no write outlives its block) lets the block JIT drop its
-   per-dispatch deopt guards, and :class:`SuperblockChain` (maximal
-   single-successor resolved chains) lets it fuse whole chains into one
-   compiled unit.  Both are soundness-critical, so both ship with an
-   independent checker (:func:`check_deopt_freedom`,
-   :func:`check_superblock_chains`) that re-derives every claim from
-   the description and program words alone;
-3. delta-aware incremental analysis: per-instruction facts are keyed by
+2. delta-aware incremental analysis: per-instruction facts are keyed by
    the operations' unit fingerprints plus the decoded operands, so a
    child description re-analyzes only instructions whose definitions a
    mutation touched (``REPRO_INCREMENTAL_CHECK=1`` shadow-builds cold
    and asserts equality, exactly like the artifact builders).
+
+Two **proof certificates** are derived from the facts as analysis
+objects: :class:`DeoptFreedom` (no self-modifying stores, every PC
+target resolved, no write outlives its block) and
+:class:`SuperblockChain` (maximal single-successor resolved chains).
+Each ships with an independent checker (:func:`check_deopt_freedom`,
+:func:`check_superblock_chains`) that re-derives every claim from the
+description and program words alone.  No simulator consumes them:
+deriving the facts at load time cost cold ``block`` evaluations more
+than the guards they elided (DESIGN.md §13).  They stay because the
+pipeline benchmark's per-layer attribution (``perfbench/layers.py``)
+binds all four functions by name; they go with the next benchmark
+revision.
 """
 
 from __future__ import annotations

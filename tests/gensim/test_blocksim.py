@@ -173,6 +173,32 @@ def test_max_steps_boundary_matches_xsim(risc16_desc):
     assert sim.run(max_steps=2).halt_reason == "halted"
 
 
+def test_max_steps_overrun_drains_in_flight_writes(spam_desc):
+    """A step-budget failure leaves the same architectural state on every
+    backend: the long-latency ``fdiv`` result still in flight when the
+    budget runs out is committed before the error, as the interpretive
+    scheduler's finish step does."""
+    source = "ldi r1,#6\nldi r2,#3\nfdiv r3,r1,r2\nloop: jmp loop\n"
+    program = Assembler(spam_desc).assemble(source)
+    backends = ("xsim", "interpretive", "compiled", "block")
+    for budget in (3, 4, 5, 8):
+        sims = {}
+        for backend in backends:
+            sim = simulator_for(spam_desc, backend)
+            sim.load_words(program.words, program.origin)
+            with pytest.raises(SimulationError):
+                sim.run_to_completion(max_steps=budget)
+            sims[backend] = sim
+        reference = sims["xsim"]
+        assert reference.read("RF", 3) == 0x40000000  # 6.0 / 3.0
+        for backend in backends[1:]:
+            sim = sims[backend]
+            assert (sim.stats.cycles, sim.stats.instructions) == (
+                reference.stats.cycles, reference.stats.instructions
+            ), f"{backend}, max_steps={budget}"
+            assert_state_matches("spam", sim, reference)
+
+
 def test_run_after_halt_is_idempotent(risc16_desc):
     program = Assembler(risc16_desc).assemble("halt\n")
     sim = BlockSimulator(risc16_desc)
@@ -303,3 +329,25 @@ def test_generated_source_shape(risc16_desc):
     assert src.count("# 0x") == loop.n  # one disassembly comment each
     # write-back happens once per exit, not per instruction
     assert src.count("scalars['CCR'] =") == 1
+
+
+def test_cold_block_evaluation_runs_no_dataflow(spam_desc, monkeypatch):
+    """The block backend compiles what it dispatches and derives nothing
+    ahead of time: a cold evaluation never builds program facts."""
+    import repro.analyze.dataflow as dataflow
+    from repro.codegen.kernels import resolve_kernels
+    from repro.explore import evaluate
+
+    kernels = resolve_kernels(["sum:40", "dot:8", "blockmove:12"])
+    want = evaluate(spam_desc, kernels, sim_backend="xsim",
+                    cache=ArtifactCache())
+
+    def no_facts(*args, **kwargs):
+        raise AssertionError("cold block evaluation built dataflow facts")
+
+    monkeypatch.setattr(dataflow, "_build_program_facts", no_facts)
+    got = evaluate(spam_desc, kernels, sim_backend="block",
+                   cache=ArtifactCache())
+    assert got.feasible, got.reason
+    assert got.cycles == want.cycles
+    assert got.per_kernel_cycles == want.per_kernel_cycles

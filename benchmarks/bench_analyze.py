@@ -5,11 +5,7 @@ Two questions, answered on the SPAM-2 description:
 1. What does one full `analyze()` run cost cold, and what does the
    fingerprint-memoized `check_static()` path cost once the artifact
    cache is warm?
-2. What does whole-program dataflow analysis (`program_facts`) cost
-   cold, and how much of that does the delta-aware incremental path
-   recover when re-analysing a near-identical mutated description
-   against a parent-warmed cache?
-3. What does the exploration validity gate add to a *serial* candidate
+2. What does the exploration validity gate add to a *serial* candidate
    sweep?  A sweep of distinct (mutated) candidates is evaluated twice
    on the same `ParallelEvaluator` configuration — gate on vs gate off,
    fresh caches each trial, best-of-N timing — and the relative
@@ -24,10 +20,8 @@ import time
 
 from conftest import record, record_json
 
-from repro.analyze import analyze, check_static, program_facts
+from repro.analyze import analyze, check_static
 from repro.arch import description_for
-from repro.arch.workloads import workloads_for
-from repro.asm import Assembler
 from repro.cache import ArtifactCache
 from repro.codegen import Cond, KernelBuilder, Opcode
 from repro.explore.metrics import Measurement
@@ -106,67 +100,6 @@ def test_cold_vs_fingerprint_cached_analysis():
     # a warm gate consult must be far cheaper than a cold analysis run
     assert cached < cold
     assert speedup > 5, f"memoization buys only {speedup:.1f}x"
-
-
-def _workload_programs(arch):
-    desc = description_for(arch)
-    assembler = Assembler(desc)
-    programs = []
-    for workload in workloads_for(arch):
-        program = assembler.assemble(workload.source,
-                                     filename=f"{workload.name}.s")
-        programs.append((workload.name, tuple(program.words),
-                         program.origin))
-    return desc, programs
-
-
-def test_dataflow_cold_vs_incremental():
-    desc, programs = _workload_programs("spam2")
-    # a structural mutation that leaves every operation's RTL untouched:
-    # the per-op fingerprint units all carry over to the child
-    child = resize_memory(desc, "DM", 128)
-
-    def cold(target, parent=None, cache=None):
-        cache = cache if cache is not None else ArtifactCache()
-        for name, words, origin in programs:
-            program_facts(target, words, origin, name=name,
-                          cache=cache, parent=parent)
-        return cache
-
-    cold_t = _best_of(lambda: cold(desc), TRIALS * 2)
-
-    # The incremental path needs a parent-warmed cache, and a repeat
-    # call with the same (desc, words) pair is a memo hit rather than a
-    # delta build — so each trial rebuilds the warm cache outside the
-    # timed region.
-    times = []
-    reused = rebuilt = 0
-    for _ in range(TRIALS * 2):
-        cache = cold(desc)
-        before_reused = cache.stats.units_reused["facts"]
-        before_rebuilt = cache.stats.units_rebuilt["facts"]
-        start = time.perf_counter()
-        cold(child, parent=desc, cache=cache)
-        times.append(time.perf_counter() - start)
-        reused = cache.stats.units_reused["facts"] - before_reused
-        rebuilt = cache.stats.units_rebuilt["facts"] - before_rebuilt
-    incremental_t = min(times)
-    assert reused > 0, "delta analysis reused no per-op facts"
-
-    speedup = cold_t / incremental_t if incremental_t else float("inf")
-    _results["dataflow_cold_s"] = cold_t
-    _results["dataflow_incremental_s"] = incremental_t
-    _results["dataflow_incremental_speedup"] = speedup
-    _results["dataflow_units_reused"] = reused
-    _results["dataflow_units_rebuilt"] = rebuilt
-    _results["dataflow_programs"] = len(programs)
-    record(TABLE, f"* `program_facts` over {len(programs)} workloads: "
-                  f"{cold_t * 1e3:.2f} ms cold; delta re-analysis vs "
-                  f"parent: {incremental_t * 1e3:.2f} ms "
-                  f"({speedup:.1f}x, {reused} op facts reused, "
-                  f"{rebuilt} rebuilt)")
-    # reusing untouched per-op facts must at least not cost extra
-    assert incremental_t <= cold_t * 1.10
 
 
 def test_gate_overhead_on_serial_sweep():

@@ -18,18 +18,13 @@ four concrete lattices —
   out of scope — the lattice answers "can this value change what the
   program does next", which is the question dead-write elision asks).
 
-The facts serve two purposes:
-
-1. the ``ISDL6xx`` diagnostics of :func:`pass_dataflow` (registered in
-   :data:`repro.analyze.passes.ALL_PASSES`) — unreachable blocks,
-   provably never-halting programs, always-false guards, dead
-   conditional writes, and storages written-but-never-read across every
-   supplied workload program;
-2. delta-aware incremental analysis: per-instruction facts are keyed by
-   the operations' unit fingerprints plus the decoded operands, so a
-   child description re-analyzes only instructions whose definitions a
-   mutation touched (``REPRO_INCREMENTAL_CHECK=1`` shadow-builds cold
-   and asserts equality, exactly like the artifact builders).
+The facts feed the ``ISDL6xx`` diagnostics of :func:`pass_dataflow`
+(registered in :data:`repro.analyze.passes.ALL_PASSES`) — unreachable
+blocks, provably never-halting programs, always-false guards, dead
+conditional writes, and storages written-but-never-read across every
+supplied workload program.  Every call is a cold build: ``repro-lint``
+analyzes each description × program pair once, and no evaluation path
+derives facts (DESIGN.md §13).
 
 Two **proof certificates** are derived from the facts as analysis
 objects: :class:`DeoptFreedom` (no self-modifying stores, every PC
@@ -48,9 +43,8 @@ revision.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -65,7 +59,7 @@ from typing import (
 from .. import obs
 from ..encoding.bits import mask
 from ..isdl import ast, rtl
-from ..isdl.fingerprint import fingerprint, unit_fingerprint
+from ..isdl.fingerprint import fingerprint
 
 __all__ = [
     "fixpoint",
@@ -161,18 +155,10 @@ def fixpoint(
 
 @dataclass(frozen=True)
 class InstrFacts:
-    """Static summary of one decoded instruction at one address.
-
-    ``key`` identifies everything the summary is a function of besides
-    the address: the unit fingerprints of the decoded operations'
-    definitions plus the decoded operand bindings.  Two descriptions
-    whose decode of a word agrees on ``key`` provably agree on the
-    whole summary, which is what the incremental rebuild relies on.
-    """
+    """Static summary of one decoded instruction at one address."""
 
     offset: int
     size: int
-    key: Tuple
     reads: FrozenSet[str]
     writes: FrozenSet[str]
     #: ``(storage, value, definite)`` per scalar write, in RTL order.
@@ -253,14 +239,9 @@ class _InstrAnalyzer:
                 _label, sub_operands = operands[pname]
                 scan_unit(option, sub_operands)
 
-        key_parts = []
         for dop in decoded.operations:
-            op = self.desc.operation(dop.field, dop.op_name)
-            key_parts.append((
-                dop.field, dop.op_name, unit_fingerprint(op),
-                _freeze_operands(dop.operands),
-            ))
-            scan_unit(op, dop.operands)
+            scan_unit(self.desc.operation(dop.field, dop.op_name),
+                      dop.operands)
         if flow.writes_pc and not scan.pc_unresolved:
             targets: Optional[Tuple[int, ...]] = tuple(
                 sorted({t & self.pc_mask for t in scan.pc_targets})
@@ -270,7 +251,6 @@ class _InstrAnalyzer:
         return InstrFacts(
             offset=offset,
             size=flow.size,
-            key=tuple(key_parts),
             reads=frozenset(scan.reads),
             writes=frozenset(scan.writes),
             scalar_writes=tuple(scan.scalar_writes),
@@ -283,18 +263,6 @@ class _InstrAnalyzer:
             max_latency=flow.max_latency,
             false_guards=tuple(scan.false_guards),
         )
-
-
-def _freeze_operands(operands) -> Tuple:
-    out = []
-    for name in sorted(operands):
-        value = operands[name]
-        if isinstance(value, tuple):  # NT binding: (label, sub-operands)
-            label, sub = value
-            out.append((name, label, _freeze_operands(sub)))
-        else:
-            out.append((name, value))
-    return tuple(out)
 
 
 class _RtlScan:
@@ -438,8 +406,6 @@ class ProgramFacts:
     halting: Optional[bool]
     reads: FrozenSet[str]
     writes: FrozenSet[str]
-    #: per-unit reuse accounting of the (possibly incremental) build
-    reuse_counts: Dict[str, int] = field(compare=False, default_factory=dict)
 
     @property
     def reachable_offsets(self) -> FrozenSet[int]:
@@ -634,9 +600,7 @@ def _program_fixpoints(instr: Dict[int, InstrFacts], raw: Dict[int, Dict],
 
 
 def _build_program_facts(desc: ast.Description, words: Sequence[int],
-                         origin: int, name: str,
-                         parent_facts: Optional[ProgramFacts]
-                         ) -> ProgramFacts:
+                         origin: int, name: str) -> ProgramFacts:
     from ..gensim.disassembler import Disassembler
 
     analyzer = _InstrAnalyzer(desc)
@@ -644,30 +608,11 @@ def _build_program_facts(desc: ast.Description, words: Sequence[int],
     decoded = [disasm.disassemble(word) for word in words]
     flows = analyzer.cfa.flows_for_program(decoded)
     n_words = len(words)
-    reused = 0
-    computed = 0
-    instr: Dict[int, InstrFacts] = {}
-    for offset in range(n_words):
-        if flows[offset] is None:
-            continue
-        address = origin + offset
-        parent = (
-            parent_facts.instr.get(offset)
-            if parent_facts is not None else None
-        )
-        if parent is not None:
-            key = tuple(
-                (dop.field, dop.op_name,
-                 unit_fingerprint(desc.operation(dop.field, dop.op_name)),
-                 _freeze_operands(dop.operands))
-                for dop in decoded[offset].operations
-            )
-            if parent.key == key:
-                instr[offset] = parent
-                reused += 1
-                continue
-        instr[offset] = analyzer.summarize(decoded[offset], offset, address)
-        computed += 1
+    instr: Dict[int, InstrFacts] = {
+        offset: analyzer.summarize(decoded[offset], offset, origin + offset)
+        for offset in range(n_words)
+        if flows[offset] is not None
+    }
     entry, raw, complete = _build_blocks(
         analyzer, instr, flows, origin, n_words
     )
@@ -712,59 +657,25 @@ def _build_program_facts(desc: ast.Description, words: Sequence[int],
         halting=halting,
         reads=reads,
         writes=writes,
-        reuse_counts={"instr_reused": reused, "instr_computed": computed},
     )
 
 
 def program_facts(desc: ast.Description, words: Sequence[int],
-                  origin: int = 0, *, name: str = "<program>",
-                  cache=None, parent: Optional[ast.Description] = None
+                  origin: int = 0, *, name: str = "<program>"
                   ) -> ProgramFacts:
-    """Dataflow facts for *words* loaded at *origin* under *desc*.
-
-    With a *cache* the result is memoized by (description fingerprint,
-    words, origin).  With a *parent* description whose facts for the
-    same program are cached, per-instruction summaries are reused for
-    every instruction whose decoded operations are byte-identical
-    definitions — the fixpoints (cheap) always re-run.  Set
-    ``REPRO_INCREMENTAL_CHECK=1`` to shadow-build cold and assert the
-    incremental result identical.
-    """
-    def build() -> ProgramFacts:
-        parent_facts = None
-        if parent is not None and cache is not None:
-            parent_facts = cache.peek_facts(parent, words, origin)
-        with obs.span("analyze.dataflow", desc=desc.name, program=name):
-            facts = _build_program_facts(
-                desc, words, origin, name, parent_facts
-            )
-        if parent_facts is not None:
-            if cache is not None:
-                cache.note_incremental("facts", facts.reuse_counts)
-            if os.environ.get("REPRO_INCREMENTAL_CHECK") == "1":
-                cold = _build_program_facts(desc, words, origin, name, None)
-                if facts != cold:
-                    raise AssertionError(
-                        "incremental dataflow facts diverged from the"
-                        f" cold build for {name!r}"
-                    )
-        return facts
-
-    if cache is None:
-        return build()
-    return cache.facts(desc, words, origin, build)
+    """Dataflow facts for *words* loaded at *origin* under *desc*."""
+    with obs.span("analyze.dataflow", desc=desc.name, program=name):
+        return _build_program_facts(desc, words, origin, name)
 
 
 def arch_facts(desc: ast.Description,
-               programs: Sequence[Tuple[str, Sequence[int], int]], *,
-               cache=None, parent: Optional[ast.Description] = None
+               programs: Sequence[Tuple[str, Sequence[int], int]]
                ) -> ArchFacts:
     """Facts for every ``(name, words, origin)`` program under *desc*."""
     return ArchFacts(
         desc_fp=fingerprint(desc),
         programs={
-            name: program_facts(desc, words, origin, name=name,
-                                cache=cache, parent=parent)
+            name: program_facts(desc, words, origin, name=name)
             for name, words, origin in programs
         },
     )

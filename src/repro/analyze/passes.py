@@ -757,8 +757,7 @@ def pass_dataflow(ctx: PassContext) -> List[Diagnostic]:
         return diagnostics
     from .dataflow import arch_facts
 
-    facts = arch_facts(desc, ctx.programs, cache=ctx.cache,
-                       parent=ctx.parent)
+    facts = arch_facts(desc, ctx.programs)
     for name, program in sorted(facts.programs.items()):
         if program.complete:
             for start, length in _unreachable_runs(program):
@@ -940,9 +939,7 @@ def analyze(desc: ast.Description, *,
 def check_static(desc: ast.Description, *,
                  cache=None,
                  passes: Optional[Sequence[AnalysisPass]] = None,
-                 parent=None,
-                 programs: Optional[Sequence[Tuple]] = None
-                 ) -> AnalysisResult:
+                 parent=None) -> AnalysisResult:
     """Analyze *desc*, memoized by its structural fingerprint.
 
     This is the validity gate the exploration engine calls per candidate:
@@ -950,21 +947,15 @@ def check_static(desc: ast.Description, *,
     once per distinct description and warm sweeps pay a lookup.  *parent*
     is the incremental-build hint threaded through to the shared
     signature table (see :meth:`repro.cache.ArtifactCache.signature_table`).
-    With *programs* the memo key additionally covers the program images
-    (the whole-program lints depend on them).
+    The gate analyzes the description alone; the whole-program lints
+    need decoded programs and run through :func:`analyze`.
     """
     if cache is None:
-        return analyze(desc, passes=passes, programs=programs)
+        return analyze(desc, passes=passes)
     fp = fingerprint(desc)
-    builder = lambda: analyze(  # tiny memo thunk
-        desc, passes=passes, cache=cache, fp=fp, parent=parent,
-        programs=programs,
+    return cache.analysis(
+        desc,
+        lambda: analyze(desc, passes=passes, cache=cache, fp=fp,
+                        parent=parent),
+        fp=fp,
     )
-    if programs:
-        from .dataflow import words_digest
-
-        key = (fp, tuple(
-            words_digest(words, origin) for _, words, origin in programs
-        ))
-        return cache.get_or_build("analysis", key, builder)
-    return cache.analysis(desc, builder, fp=fp)

@@ -22,37 +22,24 @@ Two layers:
 The cache is thread-safe; builders run outside the lock, so two threads
 racing on the same key may both build (last store wins) but never corrupt
 the table.  All disk I/O is best-effort and safe under concurrent
-writers: saves go to a uniquely named temp file (pid + thread + sequence)
-and land with an atomic ``os.replace``, so a reader never sees a
-half-written pickle; a corrupt or truncated entry is treated as a miss —
-counted in ``stats.disk_errors`` and the ``cache.disk_corrupt`` obs
-counter, and the bad file is removed so the rebuild overwrites it.
-
-**Cross-process leases** (``lease=True``, needs ``disk_path``): before
-building a disk-eligible artifact, a process stakes a claim by creating
-``<entry>.lease`` with ``O_CREAT|O_EXCL`` (the atomic test-and-set the
-filesystem gives us) containing its pid and an expiry.  A second process
-that loses the race *waits and polls the disk entry* instead of paying
-the build twice — the concurrent-duals ladder of PR 5 extended across
-processes: the memory LRU dedupes within a thread, in-flight coalescing
-across threads, the lease across co-located processes (a cluster's
-shards sharing one disk path).  Leases are advisory and crash-safe: an
-expired lease, or one whose holder pid is gone, is broken and the
-waiter builds; a waiter never blocks past the lease timeout, so the
-worst failure mode is the duplicate build we would have done anyway.
-Holder-liveness checks use ``os.kill(pid, 0)``, so leases coordinate
-processes on one host (which is what a local shard fleet is).
+writers, threads and processes alike: saves go to a uniquely named temp
+file (pid + thread + sequence) and land with an atomic ``os.replace``,
+so a reader never sees a half-written pickle; a corrupt or truncated
+entry is treated as a miss — counted in ``stats.disk_errors`` and the
+``cache.disk_corrupt`` obs counter, and the bad file is removed so the
+rebuild overwrites it.  Two processes that miss the same key at once
+both build it; the entry that lands is whole either way.  A fleet never
+pays that duplicate: its router sends each fingerprint to one shard, and
+each shard keeps its own cache (:mod:`repro.cluster`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import os
 import pickle
 import threading
-import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
@@ -85,10 +72,6 @@ class CacheStats:
     disk_hits: int = 0
     #: disk entries that existed but failed to load (corrupt/truncated)
     disk_errors: int = 0
-    #: builds we waited out under another process's lease
-    lease_waits: int = 0
-    #: stale leases (expired or dead holder) we broke
-    lease_breaks: int = 0
     hits_by_kind: Counter = field(default_factory=Counter)
     misses_by_kind: Counter = field(default_factory=Counter)
     #: artifacts built incrementally off a parent, per kind
@@ -114,9 +97,6 @@ class CacheStats:
             + (f", {self.disk_errors} corrupt disk entr"
                f"{'y' if self.disk_errors == 1 else 'ies'}"
                if self.disk_errors else "")
-            + (f", {self.lease_waits} lease wait"
-               f"{'' if self.lease_waits == 1 else 's'}"
-               if self.lease_waits else "")
         ]
         for kind in sorted(set(self.hits_by_kind) | set(self.misses_by_kind)):
             lines.append(
@@ -148,15 +128,9 @@ class ArtifactCache:
     PICKLABLE_KINDS = frozenset({"program", "evaluation", "analysis"})
 
     def __init__(self, max_entries: int = 512,
-                 disk_path: Optional[str] = None, *,
-                 lease: bool = False, lease_timeout_s: float = 30.0,
-                 lease_poll_s: float = 0.05):
+                 disk_path: Optional[str] = None):
         self.max_entries = max_entries
         self.disk_path = disk_path
-        #: cross-process build leases (disk-eligible kinds only)
-        self.lease = bool(lease and disk_path)
-        self.lease_timeout_s = lease_timeout_s
-        self.lease_poll_s = lease_poll_s
         self.stats = CacheStats()
         self._entries: "OrderedDict[Tuple[str, Hashable], Any]" = OrderedDict()
         self._lock = threading.RLock()
@@ -179,14 +153,8 @@ class ArtifactCache:
                 obs.add("cache.hits")
                 return self._entries[full_key]
         value, from_disk = self._disk_load(kind, key)
-        saved = False
         if not from_disk:
-            if self.lease and kind in self.PICKLABLE_KINDS:
-                value, from_disk, saved = self._build_under_lease(
-                    kind, key, builder
-                )
-            else:
-                value = builder()
+            value = builder()
         with self._lock:
             if from_disk:
                 self.stats.hits += 1
@@ -199,7 +167,7 @@ class ArtifactCache:
                 self.stats.misses_by_kind[kind] += 1
                 obs.add("cache.misses")
             self._store(full_key, value)
-        if not from_disk and not saved:
+        if not from_disk:
             self._disk_save(kind, key, value)
         return value
 
@@ -286,129 +254,6 @@ class ArtifactCache:
                 os.unlink(tmp)
             except OSError:
                 pass
-
-    # ------------------------------------------------------------------
-    # Cross-process build leases (lease=True, disk-eligible kinds)
-    # ------------------------------------------------------------------
-
-    def _build_under_lease(self, kind: str, key: Hashable,
-                           builder: Callable[[], Any]
-                           ) -> Tuple[Any, bool, bool]:
-        """Build with the cross-process lease protocol.
-
-        Returns ``(value, from_disk, saved)``.  Exactly one of three
-        things happens: we hold the lease and build (publishing to disk
-        before releasing, so waiters see the artifact the moment the
-        lease clears); we wait out another live holder and pick its
-        artifact up from disk; or the wait budget runs out and we build
-        locally anyway — slower, never stuck.
-        """
-        lease_path = self._disk_file(kind, key) + ".lease"
-        deadline = time.monotonic() + self.lease_timeout_s
-        waited = False
-        while True:
-            holder = self._lease_acquire(lease_path)
-            if holder is None:  # ours
-                try:
-                    value, from_disk = self._disk_load(kind, key)
-                    if from_disk:  # holder published while we raced
-                        return value, True, False
-                    value = builder()
-                    self._disk_save(kind, key, value)
-                    return value, False, True
-                finally:
-                    self._lease_release(lease_path)
-            if not waited:
-                waited = True
-                with self._lock:
-                    self.stats.lease_waits += 1
-                obs.add("cache.lease_waits")
-            # another process is building: poll for its published
-            # artifact until the lease expires, clears, or we give up
-            while time.monotonic() < deadline:
-                time.sleep(self.lease_poll_s)
-                value, from_disk = self._disk_load(kind, key)
-                if from_disk:
-                    return value, True, False
-                if not self._lease_held(lease_path, holder):
-                    break  # released or broken: race for it again
-            else:
-                return builder(), False, False  # budget spent: build
-
-    def _lease_acquire(self, lease_path: str) -> Optional[Dict[str, Any]]:
-        """Try to stake the lease; None when we now hold it, else the
-        (possibly unreadable → empty) claim of the current holder."""
-        while True:
-            try:
-                fd = os.open(lease_path,
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                holder = self._lease_read(lease_path)
-                if holder is not None and not self._lease_stale(holder):
-                    return holder
-                # expired or dead holder: break the lease and race again
-                with self._lock:
-                    self.stats.lease_breaks += 1
-                obs.add("cache.lease_breaks")
-                try:
-                    os.unlink(lease_path)
-                except OSError:
-                    pass
-                continue
-            except OSError:
-                return None  # unwritable dir: degrade to lease-less
-            try:
-                claim = {"pid": os.getpid(),
-                         "expires": time.time() + self.lease_timeout_s}
-                os.write(fd, json.dumps(claim).encode("utf-8"))
-            except OSError:
-                pass
-            finally:
-                os.close(fd)
-            return None
-
-    @staticmethod
-    def _lease_read(lease_path: str) -> Optional[Dict[str, Any]]:
-        """The holder's claim, ``{}`` when unreadable (a holder mid-write
-        — treated as live until it expires), None when the file is gone."""
-        try:
-            with open(lease_path, "rb") as handle:
-                return json.loads(handle.read().decode("utf-8"))
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            return {}
-
-    def _lease_stale(self, holder: Dict[str, Any]) -> bool:
-        expires = holder.get("expires")
-        if isinstance(expires, (int, float)) and time.time() > expires:
-            return True
-        pid = holder.get("pid")
-        if isinstance(pid, int):
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                return True  # holder died without releasing
-            except OSError:
-                pass  # e.g. EPERM: alive but not ours
-        elif expires is None:
-            return False  # unreadable claim: give it the poll loop
-        return False
-
-    def _lease_held(self, lease_path: str,
-                    holder: Dict[str, Any]) -> bool:
-        current = self._lease_read(lease_path)
-        if current is None:
-            return False
-        if current != holder:
-            return True  # a new holder took over; keep waiting on it
-        return not self._lease_stale(current)
-
-    def _lease_release(self, lease_path: str) -> None:
-        try:
-            os.unlink(lease_path)
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------
     # Typed helpers — the key conventions of the tool chain
@@ -604,33 +449,6 @@ class ArtifactCache:
         """
         fp = fp or self.description_fingerprint(desc)
         return self.peek("blocktable", (fp, tuple(words), origin))
-
-    def facts(self, desc, words, origin: int,
-              builder: Callable[[], Any],
-              fp: Optional[str] = None):
-        """Memoized :class:`repro.analyze.dataflow.ProgramFacts`.
-
-        Keyed like block tables — (description fingerprint, program
-        words, origin) — so every consumer of one candidate × program
-        pair (diagnostic passes, certificate derivation, the block
-        simulator) pays for one fixpoint run.  Memory layer only: facts
-        are cheap to rebuild and referenced from live simulators.
-        """
-        fp = fp or self.description_fingerprint(desc)
-        return self.get_or_build(
-            "facts", (fp, tuple(words), origin), builder
-        )
-
-    def peek_facts(self, desc, words, origin: int,
-                   fp: Optional[str] = None):
-        """Non-counting lookup of cached program facts; None on miss.
-
-        The incremental rebuild peeks the *parent* description's facts
-        for the same program and carries over per-instruction summaries
-        whose decode keys (operation unit fingerprints + operands) match.
-        """
-        fp = fp or self.description_fingerprint(desc)
-        return self.peek("facts", (fp, tuple(words), origin))
 
     def evaluation(self, key: Hashable, builder: Callable[[], Any]):
         """Memoized whole-candidate evaluation (see explore.metrics)."""

@@ -9,10 +9,11 @@ artifact cache stays hot for its slice of the design space
 ``/healthz`` endpoints and the router requeues a dead shard's in-flight
 jobs to survivors, aliasing the original job ids.  Workers run the
 ordinary :class:`~repro.serve.service.EvaluationService` with a durable
-job journal (:mod:`repro.serve.journal`) and a lease-guarded disk cache,
-so accepted jobs survive a worker crash.  :class:`Supervisor` spawns
-and tends a local fleet of worker subprocesses (``repro-cluster route
---spawn N``).
+job journal (:mod:`repro.serve.journal`), so accepted jobs survive a
+worker crash, and a disk cache of their own: routing already sends every
+copy of a candidate to one shard, so that shard alone builds it.
+:class:`Supervisor` spawns and tends a local fleet of worker subprocesses
+(``repro-cluster route --spawn N``).
 """
 
 from .health import HealthMonitor

@@ -19,7 +19,7 @@ Both subcommands block until SIGINT/SIGTERM and then drain gracefully.
 
 Each worker keeps its state under ``<data-dir>/<shard-id>/``: the
 job journal (``journal.jsonl``, replayed on restart), the shard's disk
-artifact cache (``cache/``, lease-guarded), and ``worker.pid``.
+artifact cache (``cache/``, private to the shard), and ``worker.pid``.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         data_dir=shard_dir,
         shard_id=args.shard_id,
         journal_fsync=args.journal_fsync,
-        cache_lease=True,
     )
     service = EvaluationService(config)
     server = make_server(service, args.host, args.port)

@@ -3,7 +3,7 @@
 ``repro-cluster route --spawn N`` uses this to own a whole local fleet:
 each worker is a real OS process (its own GIL, its own toolchain) running
 ``repro-cluster worker`` with a shard id ``s0..sN-1``, a per-shard data
-directory (journal + disk cache, leases on), and a port of its own.  The
+directory (journal + disk cache), and a port of its own.  The
 supervisor knows how to wait for the fleet to come up, SIGTERM it down
 (workers drain gracefully), and — with ``restart=True`` — resurrect a
 worker that died, whose journal then replays its accepted jobs.

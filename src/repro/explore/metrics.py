@@ -404,7 +404,6 @@ def _evaluate_uncached(
         if merged_stats is None:
             merged_stats = _copy_stats(stats)
         else:
-            merged_stats.cycles += 0  # totals tracked separately
             merged_stats.op_counts.update(stats.op_counts)
             merged_stats.field_busy.update(stats.field_busy)
             merged_stats.instructions += stats.instructions

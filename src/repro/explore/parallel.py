@@ -19,10 +19,10 @@ pool while keeping the three properties a search loop needs:
   mode produced them first.
 
 Pool modes: ``"process"`` (true parallelism; candidates and results
-cross the boundary by pickling), ``"thread"`` (shares the cache during
-the run; GIL-bound but dependency-free), ``"serial"`` (the seed
-behaviour), and ``"auto"`` (processes when the platform supports them,
-falling back to threads, and straight-line execution for tiny batches).
+cross the boundary by pickling), ``"serial"`` (the seed behaviour), and
+``"auto"`` (straight-line execution for tiny batches, processes
+otherwise).  A process pool that cannot start or dies mid-batch degrades
+to inline evaluation, so every mode finishes every batch.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ class ParallelEvaluator:
         static_check: bool = True,
         memoize: bool = True,
     ):
-        if mode not in ("auto", "process", "thread", "serial"):
+        if mode not in ("auto", "process", "serial"):
             raise ValueError(f"unknown evaluator mode {mode!r}")
         #: how every candidate is measured; a request's own ``tech``
         #: overrides the measurement's technology axis
@@ -170,7 +170,6 @@ class ParallelEvaluator:
         #: (artifact-level caches still apply); see explore.metrics.measure
         self.memoize = memoize
         self._pool = None
-        self._pool_kind: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -204,12 +203,10 @@ class ParallelEvaluator:
                 results[index] = hit
             else:
                 jobs.append((index, request))
-        mode = self._effective_mode(len(jobs))
-        if mode == "serial":
+        if self.mode == "serial" or (self.mode == "auto"
+                                     and len(jobs) <= 1):
             for index, request in jobs:
                 results[index] = self._evaluate_inline(index, request)
-        elif mode == "thread":
-            self._run_threads(jobs, results)
         else:
             self._run_processes(jobs, results)
         return results  # type: ignore[return-value]
@@ -219,7 +216,6 @@ class ParallelEvaluator:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-            self._pool_kind = None
 
     def __enter__(self) -> "ParallelEvaluator":
         return self
@@ -236,19 +232,6 @@ class ParallelEvaluator:
     # ------------------------------------------------------------------
     # Dispatch strategies
     # ------------------------------------------------------------------
-
-    def _effective_mode(self, jobs: int) -> str:
-        if self.mode != "auto":
-            return self.mode
-        if jobs <= 1:
-            return "serial"
-        try:
-            import multiprocessing
-
-            multiprocessing.get_context()
-            return "process"
-        except (ImportError, OSError):  # pragma: no cover - exotic hosts
-            return "thread"
 
     def _static_probe(self, index: int,
                       request: EvalRequest) -> Optional[EvalResult]:
@@ -324,18 +307,9 @@ class ParallelEvaluator:
         return EvalResult(index, label, request.derived_by,
                           evaluation=evaluation, obs=cap.snapshot)
 
-    def _run_threads(self, jobs, results) -> None:
-        pool = self._ensure_pool("thread")
-        futures = {
-            pool.submit(self._evaluate_inline, index, request): index
-            for index, request in jobs
-        }
-        for future, index in futures.items():
-            results[index] = future.result()
-
     def _run_processes(self, jobs, results) -> None:
         try:
-            pool = self._ensure_pool("process")
+            pool = self._ensure_pool()
             futures = []
             for index, request in jobs:
                 label = request.display_label
@@ -344,7 +318,8 @@ class ParallelEvaluator:
                      pool.submit(_pool_evaluate, index, request.desc,
                                  label, request.parent, request.tech))
                 )
-        except (BrokenExecutor, OSError, ValueError):
+        except (BrokenExecutor, ImportError, OSError, ValueError):
+            # no process pool on this host: run the batch inline
             self.shutdown()
             for index, request in jobs:
                 results[index] = self._evaluate_inline(index, request)
@@ -394,18 +369,8 @@ class ParallelEvaluator:
                               or fingerprint(request.desc))
         return self.cache.evaluation(key, lambda: evaluation)
 
-    def _ensure_pool(self, kind: str):
-        if self._pool is not None and self._pool_kind == kind:
-            return self._pool
-        self.shutdown()
-        if kind == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-eval",
-            )
-        else:
+    def _ensure_pool(self):
+        if self._pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
             self._pool = ProcessPoolExecutor(
@@ -413,5 +378,4 @@ class ParallelEvaluator:
                 initializer=_pool_init,
                 initargs=(self.measurement, self.memoize, obs.enabled()),
             )
-        self._pool_kind = kind
         return self._pool

@@ -154,29 +154,3 @@ class Disassembler:
             else:
                 operands[param.name] = self._disassemble_ntl(raw, ptype)
         return operands
-
-
-# ---------------------------------------------------------------------------
-# Decodability analysis
-# ---------------------------------------------------------------------------
-
-
-def find_ambiguities(desc: ast.Description,
-                     table: Optional[SignatureTable] = None) -> List[str]:
-    """Report operation pairs whose constant signatures do not conflict.
-
-    The paper guarantees a unique constant match "for a decodable assembly
-    function"; this utility verifies that property for a description.  Two
-    operations of the same field are distinguishable iff some bit is constant
-    in both signatures with opposite values.  (An operation whose signature
-    constants are a superset of another's — e.g. a specialised encoding —
-    is reported, because match order then decides.)
-
-    The check itself lives in :mod:`repro.analyze` as the decode-ambiguity
-    pass (``ISDL101``/``ISDL102``); this shim keeps the historical
-    ``List[str]`` surface for the GENSIM generator and existing callers.
-    """
-    from ..analyze.passes import PassContext, pass_decode_ambiguity
-
-    ctx = PassContext(desc, table=table)
-    return [d.message for d in pass_decode_ambiguity(ctx)]

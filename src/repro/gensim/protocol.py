@@ -1,13 +1,14 @@
 """The common simulator surface shared by every backend.
 
-The repo grew two cycle-accurate, bit-true executors — the generated
-interpretive/fast-core :class:`~repro.gensim.xsim.XSim` and the
-program-specialized :class:`~repro.gensim.compiled.CompiledSimulator` —
-and exploration/benchmark code used to special-case the pair.  The
-:class:`Simulator` protocol pins down the surface they share: load a
+There are four cycle-accurate, bit-true executors: the generated
+:class:`~repro.gensim.xsim.XSim` with its fast core (``xsim``) or walking
+the RTL AST (``interpretive``), the program-specialized
+:class:`~repro.gensim.compiled.CompiledSimulator` (``compiled``), and the
+basic-block :class:`~repro.gensim.blocksim.BlockSimulator` (``block``).
+The :class:`Simulator` protocol pins down the surface they share: load a
 program, reset, run to completion, examine/set state, read statistics.
-Code written against the protocol runs unchanged on either backend (and
-on any future one, e.g. a JIT or a remote simulation service).
+Code written against the protocol runs unchanged on every backend, and
+:func:`simulator_for` builds one by name.
 """
 
 from __future__ import annotations

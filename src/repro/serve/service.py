@@ -4,10 +4,11 @@
 pipeline into a shared facility: clients submit candidate ISDL
 descriptions (plus workload/backend/weight configuration) as jobs, a
 persistent pool of worker threads measures them, and every request is
-served from one shared :class:`~repro.cache.ArtifactCache` and a small
-LRU of :class:`~repro.explore.ParallelEvaluator` configurations, so the
-caches and generated artifacts amortize across *all* clients instead of
-per process.
+served from one shared :class:`~repro.cache.ArtifactCache`, so generated
+artifacts and whole evaluations amortize across *all* clients instead of
+per process.  Each attempt measures through a fresh ``mode="serial"``
+:class:`~repro.explore.ParallelEvaluator`, which owns no pool and no
+warm state of its own — the shared cache is what carries work over.
 
 The robustness machinery, in the order a submission meets it:
 
@@ -36,8 +37,8 @@ The robustness machinery, in the order a submission meets it:
 
 Worker threads batch ready jobs that share one measurement (same
 kernels/weights/backend/max_steps/tech, up to ``batch_size``), so a
-burst of related candidates reuses one evaluator and its warm caches
-back to back.
+burst of related candidates is measured back to back against warm
+caches.
 
 Service-side metrics land in ``service.metrics`` (its own always-on
 :class:`~repro.obs.metrics.MetricsRegistry`, exported by ``GET
@@ -56,7 +57,6 @@ import os
 import threading
 import time
 import traceback
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -134,8 +134,6 @@ class ServiceConfig:
     #: False turns off whole-evaluation memoization (and is what the
     #: bench's no-dedup baseline measures); artifact caches stay shared
     share_evaluations: bool = True
-    #: bound on distinct evaluator configurations kept warm
-    max_evaluators: int = 32
     #: directory for durable state; when set, a job journal
     #: (``journal.jsonl``) records admissions/transitions/results and is
     #: replayed on start so accepted jobs survive a crash
@@ -147,9 +145,6 @@ class ServiceConfig:
     journal_fsync: bool = False
     #: terminal records kept across a startup journal compaction
     journal_keep_terminal: int = 512
-    #: guard disk-cache builds with a cross-process lock/lease so
-    #: co-located shards sharing a disk path never duplicate a build
-    cache_lease: bool = False
 
 
 class EvaluationService:
@@ -168,7 +163,6 @@ class EvaluationService:
         self.cache = cache if cache is not None else ArtifactCache(
             max_entries=self.config.cache_entries,
             disk_path=self.config.disk_path,
-            lease=self.config.cache_lease,
         )
         self.journal: Optional[JobJournal] = None
         if self.config.data_dir:
@@ -186,8 +180,6 @@ class EvaluationService:
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []  # submission order, for listings
         self._inflight: Dict[Tuple, Job] = {}
-        self._evaluators: "OrderedDict[Measurement, ParallelEvaluator]" = \
-            OrderedDict()
         self._lock = threading.RLock()
         self._done_cond = threading.Condition(self._lock)
         self._draining = False
@@ -233,11 +225,6 @@ class EvaluationService:
             deadline = time.monotonic() + timeout
             for thread in self._workers:
                 thread.join(max(0.0, deadline - time.monotonic()))
-        with self._lock:
-            evaluators = list(self._evaluators.values())
-            self._evaluators.clear()
-        for evaluator in evaluators:
-            evaluator.shutdown()
         if self.journal is not None:
             self.journal.close()
 
@@ -768,28 +755,15 @@ class EvaluationService:
         return log.best.evaluation, None, False
 
     def _evaluator_for(self, job: Job) -> ParallelEvaluator:
-        """The shared per-measurement evaluator (bounded LRU)."""
-        key = job.measurement
-        with self._lock:
-            evaluator = self._evaluators.get(key)
-            if evaluator is not None:
-                self._evaluators.move_to_end(key)
-                return evaluator
-            evaluator = ParallelEvaluator(
-                key,
-                cache=self.cache,
-                mode="serial",
-                static_check=False,  # the admission gate already ran
-                memoize=self.config.share_evaluations,
-            )
-            self._evaluators[key] = evaluator
-            evicted = []
-            while len(self._evaluators) > self.config.max_evaluators:
-                _, old = self._evaluators.popitem(last=False)
-                evicted.append(old)
-        for old in evicted:
-            old.shutdown()
-        return evaluator
+        """An inline evaluator for *job*'s measurement over the shared
+        cache (serial mode holds no pool, so there is nothing to keep)."""
+        return ParallelEvaluator(
+            job.measurement,
+            cache=self.cache,
+            mode="serial",
+            static_check=False,  # the admission gate already ran
+            memoize=self.config.share_evaluations,
+        )
 
     # ------------------------------------------------------------------
     # Completion, retries, cancellation

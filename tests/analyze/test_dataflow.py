@@ -18,8 +18,6 @@ from repro.analyze.dataflow import (
 from repro.arch import description_for
 from repro.arch.workloads import all_workloads, risc16_sum_loop
 from repro.asm import Assembler
-from repro.cache import ArtifactCache
-from repro.isdl import load_string
 
 
 def _assemble(desc, source):
@@ -214,76 +212,3 @@ def test_no_chains_without_unconditional_links(risc16_desc):
     facts = program_facts(risc16_desc, words, origin)
     cert = derive_superblock_chains(risc16_desc, facts)
     assert cert.chains == ()  # only a conditional branch: nothing fuses
-
-
-# ---------------------------------------------------------------------------
-# Incremental (delta-aware) analysis
-# ---------------------------------------------------------------------------
-
-_MINI_TEMPLATE = '''
-processor "MINI"
-
-section format
-    word 16
-end
-
-section global_definitions
-    token REG prefix "R" range 0 .. 3
-    token IMM4 immediate unsigned width 4
-end
-
-section storage
-    instruction_memory IM width 16 depth 64
-    register_file RF width 8 depth 4
-    control_register HALTED width 1
-    program_counter PC width 6
-end
-
-section instruction_set
-    field EX
-        operation nop()
-            encoding { bits[15:12] = 0b0000 }
-        operation addi(d: REG, a: REG, v: IMM4)
-            encoding { bits[15:12] = 0b0001; bits[11:10] = d;
-                       bits[9:8] = a; bits[7:4] = v }
-            action { RF[d] <- RF[a] + %s; }
-        operation halt()
-            encoding { bits[15:12] = 0b1111 }
-            action { HALTED <- 1; }
-    end
-end
-
-section optional
-    attribute halt_flag "HALTED"
-end
-'''
-
-
-def test_incremental_reuses_untouched_per_op_facts():
-    parent = load_string(_MINI_TEMPLATE % "v", filename="mini.isdl")
-    child = load_string(_MINI_TEMPLATE % "(v + 0)", filename="mini2.isdl")
-    cache = ArtifactCache()
-    words, origin = _assemble(parent, "nop\naddi R1, R0, 3\nhalt\n")
-    warm = program_facts(parent, words, origin, cache=cache)
-    assert warm.reuse_counts == {"instr_reused": 0, "instr_computed": 3}
-    # only addi's definition changed: nop and halt facts carry over
-    delta = program_facts(child, words, origin, cache=cache, parent=parent)
-    assert delta.reuse_counts == {"instr_reused": 2, "instr_computed": 1}
-    assert delta.instr[0] == warm.instr[0]
-    assert delta.instr[2] == warm.instr[2]
-    assert cache.stats.units_reused["facts"] == 2
-    assert cache.stats.units_rebuilt["facts"] == 1
-    assert cache.stats.incremental_builds["facts"] == 1
-
-
-def test_incremental_equals_cold(monkeypatch):
-    # the shadow cold build inside program_facts asserts the delta-built
-    # facts identical to a from-scratch analysis
-    monkeypatch.setenv("REPRO_INCREMENTAL_CHECK", "1")
-    parent = load_string(_MINI_TEMPLATE % "v", filename="mini.isdl")
-    child = load_string(_MINI_TEMPLATE % "(v + 0)", filename="mini2.isdl")
-    cache = ArtifactCache()
-    words, origin = _assemble(parent, "nop\naddi R1, R0, 3\nhalt\n")
-    program_facts(parent, words, origin, cache=cache)
-    delta = program_facts(child, words, origin, cache=cache, parent=parent)
-    assert delta.reuse_counts == {"instr_reused": 2, "instr_computed": 1}

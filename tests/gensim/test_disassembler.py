@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analyze.passes import PassContext, pass_decode_ambiguity
 from repro.arch import ARCHITECTURES
 from repro.encoding.signature import SignatureTable
-from repro.errors import DisassemblyError
-from repro.gensim.disassembler import Disassembler, find_ambiguities
+from repro.errors import DisassemblyError, IsdlSemanticError
+from repro.gensim import generate_simulator
+from repro.gensim.disassembler import Disassembler
 from repro.isdl import ast
 
 
@@ -47,7 +49,7 @@ def operation_strategy(desc):
 @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
 def test_descriptions_are_decodable(arch):
     desc = ARCHITECTURES[arch]()
-    assert find_ambiguities(desc) == []
+    assert pass_decode_ambiguity(PassContext(desc)) == []
 
 
 @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
@@ -140,8 +142,10 @@ section instruction_set
     end
 end
 ''')
-    problems = find_ambiguities(desc)
+    problems = pass_decode_ambiguity(PassContext(desc))
     assert problems  # word 0b11xxxxxx matches both
+    with pytest.raises(IsdlSemanticError, match="not decodable"):
+        generate_simulator(desc)
 
 
 AMBIGUOUS_ISDL = '''

@@ -187,7 +187,7 @@ def _structural(counters):
     return {k: v for k, v in counters.items() if not k.endswith(".cpu_s")}
 
 
-@pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+@pytest.mark.parametrize("mode", ["serial", "process"])
 def test_eval_results_carry_profiles(mode, spam2_desc):
     obs.enable()
     evaluator = ParallelEvaluator(Measurement([_kernel()]),

@@ -332,98 +332,71 @@ def test_concurrent_disk_writers_never_corrupt_an_entry(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Cross-process build leases
+# Processes sharing one disk path
 # ----------------------------------------------------------------------
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-def lease_cache(tmp_path, **kwargs):
-    kwargs.setdefault("lease", True)
-    kwargs.setdefault("lease_timeout_s", 2.0)
-    kwargs.setdefault("lease_poll_s", 0.01)
-    return ArtifactCache(disk_path=str(tmp_path / "artifacts"), **kwargs)
+#: one writer process: report ready, wait for the start signal, then
+#: build every key (each builder slow enough that the other process
+#: misses it too)
+_DISK_WRITER = """
+import json, os, sys, time
+from repro.cache import ArtifactCache
 
+disk, go, keys = sys.argv[1], sys.argv[2], int(sys.argv[3])
+open(go + "." + str(os.getpid()), "w").close()
+deadline = time.monotonic() + 60.0
+while not os.path.exists(go) and time.monotonic() < deadline:
+    time.sleep(0.005)
 
-def test_lease_holder_builds_and_publishes(tmp_path):
-    cache = lease_cache(tmp_path)
-    value = cache.get_or_build("evaluation", "k", lambda: {"n": 1})
-    assert value == {"n": 1}
-    # the lease file is gone and the artifact is on disk
-    lease_path = cache._disk_file("evaluation", "k") + ".lease"
-    assert not os.path.exists(lease_path)
-    fresh = lease_cache(tmp_path)
-    assert fresh.get_or_build("evaluation", "k", lambda: None) == {"n": 1}
+def build(key):
+    time.sleep(0.05)
+    return {"key": key, "payload": list(range(20000))}
 
-
-def test_waiter_picks_up_published_artifact_without_building(tmp_path):
-    """While another live process holds the lease, a waiter polls the
-    disk and returns the published artifact — its own builder never
-    runs."""
-    import threading
-
-    cache = lease_cache(tmp_path)
-    lease_path = cache._disk_file("evaluation", "k") + ".lease"
-    # a live "other process" (this one, so the pid probe passes) holds
-    # the lease; it publishes the artifact shortly after we start waiting
-    assert cache._lease_acquire(lease_path) is None
-
-    def publish():
-        time.sleep(0.08)
-        cache._disk_save("evaluation", "k", {"built": "elsewhere"})
-        cache._lease_release(lease_path)
-
-    waiter = lease_cache(tmp_path)
-    publisher = threading.Thread(target=publish)
-    publisher.start()
-
-    def must_not_build():
-        raise AssertionError("the waiter must serve the published value")
-
-    try:
-        value = waiter.get_or_build("evaluation", "k", must_not_build)
-    finally:
-        publisher.join()
-    assert value == {"built": "elsewhere"}
-    assert waiter.stats.lease_waits == 1
+cache = ArtifactCache(disk_path=disk)
+values = [cache.evaluation(f"shared-{i}", lambda i=i: build(i))
+          for i in range(keys)]
+print(json.dumps({"values": values,
+                  "disk_errors": cache.stats.disk_errors}))
+"""
 
 
-def test_stale_lease_of_a_dead_pid_is_broken(tmp_path):
-    import json as json_mod
+def test_two_processes_building_one_key_share_the_disk_safely(tmp_path):
+    import json
+    import subprocess
+    import sys
 
-    cache = lease_cache(tmp_path)
-    lease_path = cache._disk_file("evaluation", "k") + ".lease"
-    os.makedirs(os.path.dirname(lease_path), exist_ok=True)
-    # a lease from a process that no longer exists, not yet expired
-    with open(lease_path, "w", encoding="utf-8") as handle:
-        json_mod.dump({"pid": 2 ** 22 + 12345,
-                       "expires": time.time() + 600.0}, handle)
-    value = cache.get_or_build("evaluation", "k", lambda: {"n": 7})
-    assert value == {"n": 7}
-    assert cache.stats.lease_breaks >= 1
-    assert not os.path.exists(lease_path)
-
-
-def test_expired_lease_is_broken(tmp_path):
-    import json as json_mod
-
-    cache = lease_cache(tmp_path)
-    lease_path = cache._disk_file("evaluation", "k") + ".lease"
-    os.makedirs(os.path.dirname(lease_path), exist_ok=True)
-    with open(lease_path, "w", encoding="utf-8") as handle:
-        json_mod.dump({"pid": os.getpid(),
-                       "expires": time.time() - 1.0}, handle)
-    assert cache.get_or_build("evaluation", "k", lambda: 3) == 3
-    assert cache.stats.lease_breaks >= 1
-
-
-def test_lease_wait_budget_degrades_to_a_local_build(tmp_path):
-    """A holder that never publishes cannot wedge a waiter: past the
-    timeout the waiter builds locally (a duplicate build, not a hang)."""
-    cache = lease_cache(tmp_path, lease_timeout_s=0.15)
-    lease_path = cache._disk_file("evaluation", "k") + ".lease"
-    assert cache._lease_acquire(lease_path) is None  # held, never freed
-    waiter = lease_cache(tmp_path, lease_timeout_s=0.15)
-    begun = time.monotonic()
-    value = waiter.get_or_build("evaluation", "k", lambda: {"n": 9})
-    assert value == {"n": 9}
-    assert time.monotonic() - begun < 2.0
-    cache._lease_release(lease_path)
+    disk = str(tmp_path / "artifacts")
+    go = str(tmp_path / "go")
+    keys = 4
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-c", _DISK_WRITER, disk, go, str(keys)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        for _ in range(2)
+    ]
+    deadline = time.monotonic() + 60.0
+    while (len([n for n in os.listdir(tmp_path) if n.startswith("go.")]) < 2
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    open(go, "w").close()  # both writers are up: start them together
+    outputs = []
+    for writer in writers:
+        out, err = writer.communicate(timeout=120)
+        assert writer.returncode == 0, err
+        outputs.append(json.loads(out))
+    expected = [{"key": i, "payload": list(range(20000))}
+                for i in range(keys)]
+    assert outputs[0]["values"] == outputs[1]["values"] == expected
+    assert [o["disk_errors"] for o in outputs] == [0, 0]
+    assert [name for name in os.listdir(disk) if ".tmp." in name] == []
+    # whatever the interleaving, every landed entry is a whole pickle
+    fresh = ArtifactCache(disk_path=disk)
+    for i in range(keys):
+        assert fresh.evaluation(f"shared-{i}", lambda: None) == expected[i]
+    assert fresh.stats.disk_hits == keys
+    assert fresh.stats.disk_errors == 0

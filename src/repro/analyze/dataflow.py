@@ -58,6 +58,7 @@ from typing import (
 
 from .. import obs
 from ..encoding.bits import mask
+from ..encoding.signature import SignatureTable
 from ..isdl import ast, rtl
 from ..isdl.fingerprint import fingerprint
 
@@ -599,13 +600,19 @@ def _program_fixpoints(instr: Dict[int, InstrFacts], raw: Dict[int, Dict],
     return blocks
 
 
-def _build_program_facts(desc: ast.Description, words: Sequence[int],
-                         origin: int, name: str) -> ProgramFacts:
+def _decode(desc: ast.Description, words: Sequence[int],
+            table: SignatureTable) -> List:
     from ..gensim.disassembler import Disassembler
 
+    disasm = Disassembler(desc, table)
+    return [disasm.disassemble(word) for word in words]
+
+
+def _build_program_facts(desc: ast.Description, words: Sequence[int],
+                         origin: int, name: str,
+                         table: SignatureTable) -> ProgramFacts:
     analyzer = _InstrAnalyzer(desc)
-    disasm = Disassembler(desc)
-    decoded = [disasm.disassemble(word) for word in words]
+    decoded = _decode(desc, words, table)
     flows = analyzer.cfa.flows_for_program(decoded)
     n_words = len(words)
     instr: Dict[int, InstrFacts] = {
@@ -665,20 +672,22 @@ def program_facts(desc: ast.Description, words: Sequence[int],
                   ) -> ProgramFacts:
     """Dataflow facts for *words* loaded at *origin* under *desc*."""
     with obs.span("analyze.dataflow", desc=desc.name, program=name):
-        return _build_program_facts(desc, words, origin, name)
+        return _build_program_facts(desc, words, origin, name,
+                                    SignatureTable(desc))
 
 
 def arch_facts(desc: ast.Description,
                programs: Sequence[Tuple[str, Sequence[int], int]]
                ) -> ArchFacts:
-    """Facts for every ``(name, words, origin)`` program under *desc*."""
-    return ArchFacts(
-        desc_fp=fingerprint(desc),
-        programs={
-            name: program_facts(desc, words, origin, name=name)
-            for name, words, origin in programs
-        },
-    )
+    """Facts for every ``(name, words, origin)`` program under *desc*
+    (one signature table decodes them all)."""
+    table = SignatureTable(desc)
+    facts: Dict[str, ProgramFacts] = {}
+    for name, words, origin in programs:
+        with obs.span("analyze.dataflow", desc=desc.name, program=name):
+            facts[name] = _build_program_facts(desc, words, origin, name,
+                                               table)
+    return ArchFacts(desc_fp=fingerprint(desc), programs=facts)
 
 
 # ---------------------------------------------------------------------------
@@ -820,13 +829,10 @@ def derive_superblock_chains(desc: ast.Description,
 
 
 def _checker_instr(desc: ast.Description, words: Sequence[int],
-                   origin: int):
+                   origin: int, table: SignatureTable):
     """(analyzer, flows, summarize-by-offset) re-derived from scratch."""
-    from ..gensim.disassembler import Disassembler
-
     analyzer = _InstrAnalyzer(desc)
-    disasm = Disassembler(desc)
-    decoded = [disasm.disassemble(word) for word in words]
+    decoded = _decode(desc, words, table)
     flows = analyzer.cfa.flows_for_program(decoded)
 
     def summarize(offset: int) -> InstrFacts:
@@ -851,7 +857,9 @@ def check_deopt_freedom(desc: ast.Description, words: Sequence[int],
         return False
     if cert.program_digest != words_digest(words, origin):
         return False
-    analyzer, flows, summarize = _checker_instr(desc, words, origin)
+    analyzer, flows, summarize = _checker_instr(
+        desc, words, origin, SignatureTable(desc)
+    )
     covered = set(cert.blocks)
     entry = 0 - origin
     if cert.entry != entry or entry not in covered:
@@ -894,7 +902,9 @@ def check_superblock_chains(desc: ast.Description, words: Sequence[int],
         return False
     if cert.program_digest != words_digest(words, origin):
         return False
-    analyzer, flows, summarize = _checker_instr(desc, words, origin)
+    analyzer, flows, summarize = _checker_instr(
+        desc, words, origin, SignatureTable(desc)
+    )
     n_words = len(words)
     for chain in cert.chains:
         if len(chain) < 2:

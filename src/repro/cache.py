@@ -386,7 +386,9 @@ class ArtifactCache:
         cached model (same *share*/*use_constraints* key): unchanged
         operations keep their extracted nodes, stable compatibility-matrix
         entries are copied, and per-component clique partitions are reused
-        by structural digest.
+        by structural digest.  A miss synthesizes against this cache's
+        :meth:`signature_table`, so the evaluation's one table serves the
+        decode logic too.
 
         *tech* (a :class:`repro.tech.TechModel`) projects the returned
         model into a scaled technology **after** the cache fetch — the
@@ -411,6 +413,8 @@ class ArtifactCache:
                     )
             model = synthesize(desc, share=share,
                                use_constraints=use_constraints,
+                               table=self.signature_table(
+                                   desc, fp, parent=parent),
                                reuse_from=reuse_from)
             if reuse_from is not None:
                 self.note_incremental("synth", model.reuse_counts)

@@ -18,6 +18,7 @@ HGEN decode-logic generator (paper §4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
@@ -63,8 +64,14 @@ class Signature:
         return Signature(width, tuple(symbols))
 
     # -- views -------------------------------------------------------------
+    #
+    # The masks are pure functions of the frozen ``symbols``, so each is
+    # computed on first use and kept in the instance ``__dict__``: the
+    # disassembler calls :meth:`matches` for every operation of every
+    # field of every decoded word.  Equality and hashing still see only
+    # ``width`` and ``symbols``.
 
-    @property
+    @cached_property
     def constant_mask(self) -> int:
         """Mask of bits carrying a 0/1 constant."""
         result = 0
@@ -73,7 +80,7 @@ class Signature:
                 result |= 1 << position
         return result
 
-    @property
+    @cached_property
     def constant_value(self) -> int:
         """The constant bits' values (within :attr:`constant_mask`)."""
         result = 0
@@ -82,7 +89,7 @@ class Signature:
                 result |= 1 << position
         return result
 
-    @property
+    @cached_property
     def defined_mask(self) -> int:
         """Mask of every bit the assembly function sets (non-don't-care)."""
         result = 0

@@ -27,7 +27,7 @@ from ..cache import ArtifactCache, kernel_fingerprint
 from ..codegen import Compiler
 from ..codegen.ir import Kernel
 from ..errors import CodegenError, ReproError
-from ..encoding.signature import decode_preserved
+from ..encoding.signature import SignatureTable, decode_preserved
 from ..gensim.stats import SimulationStats
 from ..gensim.xsim import XSim
 from ..hgen import estimate_power
@@ -308,8 +308,13 @@ def _evaluate_uncached(
         return _checked_incremental(desc, measurement, label, cache, fp,
                                     parent)
     # 1. Retarget the compiler; an unfit ISA is a legitimate negative result.
+    #    The signature table is a pure function of the description: the
+    #    evaluation builds (or fetches) it once, and the assembler, every
+    #    simulator's disassembler and synthesis share it.
     try:
-        compiler = Compiler(desc)
+        table = (cache.signature_table(desc, fp, parent=parent)
+                 if cache is not None else SignatureTable(desc))
+        compiler = Compiler(desc, table=table)
         if cache is None:
             programs = [
                 (kernel.name, compiler.compile_to_words(kernel), None)
@@ -331,11 +336,9 @@ def _evaluate_uncached(
     except (CodegenError, ReproError) as exc:
         return Evaluation(label, feasible=False, reason=str(exc),
                           weights=weights, fingerprint=fp, **tech_fields)
-    # 2. Simulate every kernel on the generated ILS.  The signature table
-    #    and the fast core are pure functions of the description, so with a
-    #    cache they are generated once and shared by every simulator.
-    table = (cache.signature_table(desc, fp, parent=parent)
-             if cache is not None else None)
+    # 2. Simulate every kernel on the generated ILS.  The fast core is a
+    #    pure function of the description too, so with a cache it is
+    #    generated once and shared by every simulator.
     core = (cache.fast_core(desc, fp, parent=parent)
             if cache is not None else "generated")
     delta = parent_fp = None
@@ -412,7 +415,7 @@ def _evaluate_uncached(
     if cache is None:
         from ..hgen import synthesize
 
-        model = synthesize(desc, tech=tech_model)
+        model = synthesize(desc, table=table, tech=tech_model)
     else:
         model = cache.synthesized(desc, fp, parent=parent, tech=tech_model)
     with obs.span("hgen.power"):

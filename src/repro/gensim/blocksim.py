@@ -615,7 +615,6 @@ class BlockSimulator(CompiledSimulator):
         self.block_stats = BlockStats()
         self._cfg = ControlFlowAnalyzer(desc)
         self._flows: List = []
-        self._decoded: List = []
         self._blocks = BlockTable(0)
         # Incremental block adoption: when *parent* is a near-identical
         # description whose block table for the same program is cached,
@@ -629,10 +628,11 @@ class BlockSimulator(CompiledSimulator):
     # ------------------------------------------------------------------
 
     def load_words(self, words: Sequence[int], origin: int = 0) -> None:
-        super().load_words(words, origin)
-        self._decoded = [
-            self.disassembler.disassemble(word) for word in words
-        ]
+        with obs.span("sim.load", backend="block", desc=self.desc.name):
+            self._load(words, origin)
+
+    def _load(self, words: Sequence[int], origin: int) -> None:
+        super()._load(words, origin)
         self._flows = self._cfg.flows_for_program(self._decoded)
         if self.cache is not None:
             self._blocks = self.cache.block_table(

@@ -96,6 +96,7 @@ class CompiledSimulator:
                 self.scalars[storage.name] = 0
         self._pc = desc.program_counter().name
         self._halt = desc.attributes.get("halt_flag")
+        self._decoded: List[DecodedInstruction] = []
         self._program: List[Optional[Tuple[StmtFn, int, int]]] = []
         self._stalls: List[int] = []
         self._origin = 0
@@ -153,9 +154,15 @@ class CompiledSimulator:
     # ------------------------------------------------------------------
 
     def load_words(self, words: Sequence[int], origin: int = 0) -> None:
-        decoded = [self.disassembler.disassemble(word) for word in words]
-        self._stalls = self.hazards.stalls_for_program(decoded)
-        self._program = [self._compile_instruction(d) for d in decoded]
+        with obs.span("sim.load", backend="compiled", desc=self.desc.name):
+            self._load(words, origin)
+
+    def _load(self, words: Sequence[int], origin: int) -> None:
+        """Decode *words* once (kept in ``_decoded`` for subclasses) and
+        compile one routine per instruction."""
+        self._decoded = [self.disassembler.disassemble(w) for w in words]
+        self._stalls = self.hazards.stalls_for_program(self._decoded)
+        self._program = [self._compile_instruction(d) for d in self._decoded]
         self._origin = origin
         im = self.desc.instruction_memory()
         for offset, word in enumerate(words):

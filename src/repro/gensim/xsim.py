@@ -64,10 +64,12 @@ class XSim:
 
     def load_words(self, words: Sequence[int], origin: int = 0) -> LoadedProgram:
         """Load raw instruction words; disassembles the program off-line."""
-        decoded = [self.disassembler.disassemble(word) for word in words]
-        stalls = self.hazards.stalls_for_program(decoded)
-        texts = [render_instruction(self.desc, ins) for ins in decoded]
-        program = LoadedProgram(list(words), decoded, stalls, texts, origin)
+        with obs.span("sim.load", backend="xsim", desc=self.desc.name):
+            decoded = [self.disassembler.disassemble(word) for word in words]
+            stalls = self.hazards.stalls_for_program(decoded)
+            texts = [render_instruction(self.desc, ins) for ins in decoded]
+            program = LoadedProgram(list(words), decoded, stalls, texts,
+                                    origin)
         self.program = program
         self.scheduler.attach_program(program)
         return program

@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 
+from repro import obs
 from repro.analyze.dataflow import (
     MAX_CHAIN_LEN,
     DeoptFreedom,
+    arch_facts,
     check_deopt_freedom,
     check_superblock_chains,
     derive_deopt_freedom,
@@ -16,7 +18,11 @@ from repro.analyze.dataflow import (
     words_digest,
 )
 from repro.arch import description_for
-from repro.arch.workloads import all_workloads, risc16_sum_loop
+from repro.arch.workloads import (
+    all_workloads,
+    risc16_sum_loop,
+    workloads_for,
+)
 from repro.asm import Assembler
 
 
@@ -136,6 +142,24 @@ def test_every_workload_has_complete_facts():
         facts = program_facts(desc, words, origin, name=workload.name)
         assert facts.complete, workload.name
         assert facts.blocks, workload.name
+
+
+def test_arch_facts_decodes_every_program_with_one_table(risc16_desc):
+    programs = [
+        (w.name, *_assemble(risc16_desc, w.source))
+        for w in workloads_for("risc16")
+    ]
+    assert len(programs) > 1
+    obs.enable()
+    try:
+        with obs.capture() as cap:
+            facts = arch_facts(risc16_desc, programs)
+    finally:
+        obs.disable(reset=True)
+    assert cap.snapshot.counters["sigtable.builds"] == 1
+    for name, words, origin in programs:
+        assert facts.programs[name] == program_facts(
+            risc16_desc, words, origin, name=name)
 
 
 # ---------------------------------------------------------------------------

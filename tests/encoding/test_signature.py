@@ -1,7 +1,9 @@
 """Tests for operation signatures and the assembly function (paper Fig. 3)."""
 
+import pickle
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.encoding.signature import Signature, SignatureTable
@@ -51,6 +53,50 @@ def test_assemble_extract_roundtrip(a, b):
     assert sig.matches(word)
     assert sig.extract(word, "a") == a
     assert sig.extract(word, "b") == b
+
+
+# symbols of a signature: don't-care, a constant bit, or a parameter bit
+_SYMBOL = st.one_of(
+    st.none(),
+    st.sampled_from((0, 1)),
+    st.tuples(st.sampled_from(("a", "b")), st.integers(0, 7)),
+)
+
+
+@st.composite
+def _signature_and_word(draw):
+    symbols = tuple(draw(st.lists(_SYMBOL, min_size=1, max_size=24)))
+    word = draw(st.integers(0, (1 << len(symbols)) - 1))
+    return Signature(len(symbols), symbols), word
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signature_and_word())
+def test_cached_masks_agree_with_symbols(case):
+    sig, word = case
+    fresh = Signature(sig.width, sig.symbols)
+    pickled = pickle.dumps(sig)
+    # the masks are computed once and kept; each equals a recomputation
+    # from the symbols, read twice to hit the cached value
+    for _ in range(2):
+        assert sig.constant_mask == sum(
+            1 << i for i, s in enumerate(sig.symbols) if s in (0, 1))
+        assert sig.constant_value == sum(
+            1 << i for i, s in enumerate(sig.symbols) if s == 1)
+        assert sig.defined_mask == sum(
+            1 << i for i, s in enumerate(sig.symbols) if s is not None)
+    # matches agrees with a per-bit reference: every constant bit equal
+    assert sig.matches(word) == all(
+        (word >> i) & 1 == s for i, s in enumerate(sig.symbols)
+        if s in (0, 1)
+    )
+    # reading the masks leaves identity alone: equality, hash, pickling
+    assert sig == fresh and hash(sig) == hash(fresh)
+    assert pickle.loads(pickled) == sig
+    restored = pickle.loads(pickle.dumps(sig))
+    assert restored == fresh and hash(restored) == hash(fresh)
+    assert restored.matches(word) == sig.matches(word)
+    assert restored.constant_mask == sig.constant_mask
 
 
 def test_assemble_missing_param_raises():

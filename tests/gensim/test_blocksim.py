@@ -236,6 +236,16 @@ def test_reload_invalidates_blocks(risc16_desc):
     assert sim.read("RF", 1) == 2
 
 
+def test_load_decodes_each_word_once(risc16_desc):
+    # the block CFG reuses the compiled backend's decoded program
+    program = Assembler(risc16_desc).assemble(risc16_sum_loop(10).source)
+    sim = BlockSimulator(risc16_desc)
+    sim.load_words(program.words, program.origin)
+    disasm = sim.disassembler
+    assert disasm.decode_hits + disasm.decode_misses == len(program.words)
+    assert len(sim._flows) == len(sim._decoded) == len(program.words)
+
+
 def test_block_table_shared_through_artifact_cache(risc16_desc):
     cache = ArtifactCache()
     program = Assembler(risc16_desc).assemble(

@@ -8,7 +8,8 @@ from repro import obs
 from repro.arch import description_for
 from repro.cache import ArtifactCache
 from repro.codegen import Cond, KernelBuilder, Opcode
-from repro.explore import Explorer, Measurement, ParallelEvaluator
+from repro.codegen.kernels import resolve_kernels
+from repro.explore import Explorer, Measurement, ParallelEvaluator, evaluate
 from repro.explore.parallel import EvalRequest
 from repro.hgen import synthesize
 
@@ -176,6 +177,25 @@ def test_cache_counters_reach_registry(spam2_desc):
     # the obs counters agree with the cache's own stats
     assert cache.stats.misses == 2 and cache.stats.hits == 1
     assert cache.stats.evictions == 1
+
+
+@pytest.mark.parametrize("backend", ["xsim", "compiled", "block"])
+@pytest.mark.parametrize("cached", [True, False])
+def test_cold_evaluation_decodes_once(backend, cached, spam_desc):
+    # one signature table serves the assembler, every kernel's decode and
+    # synthesis; each kernel's off-line decode is one sim.load span
+    kernels = resolve_kernels(["sum:40", "dot:8", "blockmove:12"])
+    obs.enable()
+    with obs.capture() as cap:
+        evaluation = evaluate(
+            spam_desc, kernels, sim_backend=backend,
+            cache=ArtifactCache() if cached else None,
+        )
+    assert evaluation.feasible
+    assert cap.snapshot.counters["sigtable.builds"] == 1
+    assert cap.snapshot.histograms["stage.sim.load"].count == len(kernels)
+    loads = [r for r in obs.tracer().finished() if r.name == "sim.load"]
+    assert {r.attrs["backend"] for r in loads} == {backend}
 
 
 # ----------------------------------------------------------------------
